@@ -19,7 +19,6 @@ import io
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -141,16 +140,6 @@ def _bounded_int(lo: int, what: str):
         return value
 
     return parse
-
-
-def parse_jobs(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs must be an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("jobs must be at least 1")
-    return value
 
 
 def _parse_poly_literal(text: str) -> Poly:
@@ -336,16 +325,9 @@ def _suite_basis(n_max: int) -> VerificationReport:
     return report
 
 
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _suite_pp_count(n_max: int, k_max: int, jobs: int) -> VerificationReport:
+def _suite_pp_count(n_max: int, k_max: int) -> VerificationReport:
     combos = [(n, k) for n in range(1, n_max + 1) for k in range(k_max + 1)]
-    results = _parallel_map(lambda nk: count_pp_vs_formulas(*nk), combos, jobs)
+    results = [count_pp_vs_formulas(n, k) for n, k in combos]
     report = VerificationReport(
         suite="pp-count", grid={"n_max": n_max, "k_max": k_max}
     )
@@ -394,13 +376,9 @@ def _bijection_cell(n: int, k: int, cap: int):
     return out
 
 
-def _suite_bijection(
-    n_max: int, k_max: int, jobs: int, cap: int
-) -> VerificationReport:
+def _suite_bijection(n_max: int, k_max: int, cap: int) -> VerificationReport:
     combos = [(n, k) for n in range(1, n_max + 1) for k in range(k_max + 1)]
-    results = _parallel_map(
-        lambda nk: _bijection_cell(nk[0], nk[1], cap), combos, jobs
-    )
+    results = [_bijection_cell(n, k, cap) for n, k in combos]
     report = VerificationReport(
         suite="bijection-roundtrip",
         grid={
@@ -421,7 +399,6 @@ def run_suite(
     n_max=None,
     k_max=None,
     b_values=None,
-    jobs: int = 1,
     cap: int = 100_000,
 ) -> VerificationReport:
     """Run one verification suite by tag and return its report."""
@@ -439,13 +416,12 @@ def run_suite(
         return _suite_basis(12 if n_max is None else n_max)
     if tag == "pp-count":
         return _suite_pp_count(
-            5 if n_max is None else n_max, 4 if k_max is None else k_max, jobs
+            5 if n_max is None else n_max, 4 if k_max is None else k_max
         )
     if tag == "bijection-roundtrip":
         return _suite_bijection(
             4 if n_max is None else n_max,
             3 if k_max is None else k_max,
-            jobs,
             cap,
         )
     raise ValueError(f"unknown suite tag {tag!r}")
@@ -663,7 +639,6 @@ def _cmd_verify(args) -> int:
         n_max=args.n_max,
         k_max=args.k_max,
         b_values=tuple(args.b) if args.b else None,
-        jobs=args.jobs,
         cap=args.cap,
     )
     _write(
@@ -799,7 +774,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", dest="n_max", type=_bounded_int(0, "n-max"))
     verify.add_argument("--k-max", dest="k_max", type=_bounded_int(0, "k-max"))
     verify.add_argument("--b", action="append", type=parse_rational)
-    verify.add_argument("--jobs", type=parse_jobs, default=1)
     verify.add_argument("--cap", type=int, default=100_000)
 
     enum_pp = sub.add_parser(

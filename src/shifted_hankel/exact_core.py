@@ -19,6 +19,7 @@ __all__ = [
     "binom_poly",
     "det_exact",
     "det_poly",
+    "leading_minors",
     "series_mul",
     "series_reciprocal",
 ]
@@ -204,6 +205,8 @@ class Poly:
         return result
 
     def _subs_var(self, axis: int, value) -> "Poly":
+        if isinstance(value, (int, Fraction)):
+            return self._eval_var(axis, value)
         value = self._coerce(value)
         if value is None:
             raise TypeError("substitution value must be a Poly or exact scalar")
@@ -221,6 +224,28 @@ class Poly:
             if d in slices:
                 acc = acc + Poly._raw(dict(slices[d]))
         return acc
+
+    def _eval_var(self, axis: int, value) -> "Poly":
+        # Horner in integers per monomial of the other variable, over the
+        # common denominator of its coefficients; one Fraction per monomial
+        p, q = value.numerator, value.denominator
+        slices: dict = {}
+        for key, v in self._c.items():
+            slices.setdefault(key[1 - axis], {})[key[axis]] = v
+        out = {}
+        for other, cs in slices.items():
+            top = max(cs)
+            den = lcm(*(v.denominator for v in cs.values()))
+            acc = 0
+            for d in range(top, -1, -1):
+                acc *= p
+                v = cs.get(d)
+                if v is not None:
+                    acc += v.numerator * (den // v.denominator) * q ** (top - d)
+            if acc:
+                key = (0, other) if axis == 0 else (other, 0)
+                out[key] = Fraction(acc, den * q**top)
+        return Poly._raw(out)
 
     def shift_x(self, beta) -> "Poly":
         """x -> x + beta for an exact scalar beta."""
@@ -428,6 +453,30 @@ def _bareiss_int(m: list) -> int:
             row_i[r] = 0
         prev = pivot
     return sign * m[k - 1][k - 1]
+
+
+def leading_minors(rows: Sequence[Sequence[int]]) -> list:
+    """Leading principal minors of an integer matrix from one fraction-free
+    Bareiss pass without row swaps: entry r is the determinant of the
+    top-left (r+1)x(r+1) block. The pass ends at the first zero pivot, so a
+    list shorter than the order ends with that zero minor."""
+    m = _validated_square(rows)
+    k = len(m)
+    minors = []
+    prev = 1
+    for r in range(k):
+        pivot = m[r][r]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        row_r = m[r]
+        for i in range(r + 1, k):
+            row_i = m[i]
+            head = row_i[r]
+            for j in range(r + 1, k):
+                row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
+        prev = pivot
+    return minors
 
 
 def det_poly(rows: Sequence[Sequence]) -> Poly:

@@ -11,10 +11,10 @@ finite grid. All arithmetic is exact.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Callable, Optional, Union
 
-from .exact_core import B, Poly, X, binom_poly, det_exact, det_poly
+from .exact_core import B, Poly, X, binom_poly, det_exact, det_poly, leading_minors
 from .ortho_moments import JacobiSpec, MomentSequence, moment, ortho_poly, sequence_term
 from .report import VerificationReport
 
@@ -49,6 +49,13 @@ class _IndeterminateRatio:
 INDETERMINATE_RATIO = _IndeterminateRatio()
 
 
+def _check_index(name: str, value) -> None:
+    # the closed forms cache with typed=True, so a cached int never answers
+    # for the equal bool before this check runs
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def _det_from_terms(seq: MomentSequence, n: int, k: int):
     rows = [[seq.term(n + i + j) for j in range(k)] for i in range(k)]
     if seq.is_numeric:
@@ -60,12 +67,16 @@ def _det_from_terms(seq: MomentSequence, n: int, k: int):
 class HankelTable:
     """Memoized table of shifted determinants for one moment sequence.
 
-    A table built by reconstruction carries no source; it only answers for
-    the cells that were filled in.
+    A numeric table fills a row's cells k >= 2 by one Bareiss pass, whose
+    pivots are the row's leading minors; cells past a zero pivot fall back
+    to one pivoting determinant each. A table built by reconstruction
+    carries no source; it only answers for the cells that were filled in.
     """
 
     source: Optional[MomentSequence] = None
     values: dict = field(default_factory=dict)
+    # row n -> (order of its last Bareiss pass, minors that pass produced)
+    passes: dict = field(default_factory=dict, init=False)
 
     def value(self, n: int, k: int):
         key = (n, k)
@@ -74,8 +85,25 @@ class HankelTable:
                 raise ValueError(
                     f"cell ({n}, {k}) is outside the reconstructed region"
                 )
-            self.values[key] = _det_from_terms(self.source, n, k)
+            if k >= 2 and self.source.is_numeric:
+                self._fill_row(n, k)
+            if key not in self.values:
+                self.values[key] = _det_from_terms(self.source, n, k)
         return self.values[key]
+
+    def _fill_row(self, n: int, k: int) -> None:
+        order, reached = self.passes.get(n, (0, 0))
+        if reached < order:
+            return  # the last pass stopped at a zero pivot
+        # doubling the order makes an ascending scan of k cost O(log k) passes
+        order = max(k, 2 * order)
+        terms = [self.source.term(n + i) for i in range(2 * order - 1)]
+        d = lcm(*(t.denominator for t in terms))
+        scaled = [t.numerator * (d // t.denominator) for t in terms]
+        minors = leading_minors([scaled[i : i + order] for i in range(order)])
+        for r, minor in enumerate(minors, 1):
+            self.values.setdefault((n, r), Fraction(minor, d**r))
+        self.passes[n] = (order, len(minors))
 
 
 _TABLES: dict = {}
@@ -83,6 +111,8 @@ _TABLES: dict = {}
 
 def hankel_det(seq: MomentSequence, n: int, k: int):
     """det(a_{n+i+j})_{i,j=0..k-1} for the terms a of seq; exact, memoized."""
+    _check_index("n", n)
+    _check_index("k", k)
     table = _TABLES.get(seq)
     if table is None:
         table = _TABLES.setdefault(seq, HankelTable(seq))
@@ -93,28 +123,48 @@ def hankel_det(seq: MomentSequence, n: int, k: int):
 # closed-form polynomial families
 
 
-@lru_cache(maxsize=None)
+def _linear_product(factors) -> tuple:
+    """prod (a*x + c)/c over the pairs (a, c), as dense integer coefficients
+    in ascending powers of x and one denominator."""
+    coeffs = [1]
+    den = 1
+    for a, c in factors:
+        coeffs = [c * lo + a * hi for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+        den *= c
+    return coeffs, den
+
+
+def _dense_poly(coeffs: list, den: int) -> Poly:
+    return Poly({(i, 0): Fraction(v, den) for i, v in enumerate(coeffs)})
+
+
+@lru_cache(maxsize=None, typed=True)
 def product_poly_H(n: int) -> Poly:
     """Closed form for the Catalan table column n, computed by four distinct
     product formulas that must agree."""
-    quotient = Poly.const(1)
-    for j in range(1, n):
-        quotient = quotient * binom_poly(2 * X + 2 * j, j) * Fraction(1, comb(2 * j, j))
-    double = Poly.const(1)
-    for i in range(1, n):
-        for j in range(i, n):
-            double = double * (2 * X + i + j) * Fraction(1, i + j)
-    powered = Poly.const(1)
-    for step in range(2, 2 * n - 1):
-        exponent = min(step // 2, (2 * n - step) // 2)
-        powered = powered * ((2 * X + step) * Fraction(1, step)) ** exponent
-    nested = Poly.const(1)
-    for j in range(1, n // 2 + 1):
-        for i in range(2 * j, 2 * n - 2 * j + 1):
-            nested = nested * (2 * X + i) * Fraction(1, i)
-    if not (quotient == double == powered == nested):
-        raise ArithmeticError(f"product forms disagree at n={n}")
-    return double
+    _check_index("n", n)
+    # binom(2x+2j, j) / binom(2j, j) as a ratio of falling factorials
+    quotient = _linear_product(
+        (2, 2 * j - t) for j in range(1, n) for t in range(j)
+    )
+    double = _linear_product(
+        (2, i + j) for i in range(1, n) for j in range(i, n)
+    )
+    powered = _linear_product(
+        (2, step)
+        for step in range(2, 2 * n - 1)
+        for _ in range(min(step // 2, (2 * n - step) // 2))
+    )
+    nested = _linear_product(
+        (2, i) for j in range(1, n // 2 + 1) for i in range(2 * j, 2 * n - 2 * j + 1)
+    )
+    coeffs, den = double
+    for other, other_den in (quotient, powered, nested):
+        if len(other) != len(coeffs) or any(
+            u * other_den != v * den for u, v in zip(coeffs, other)
+        ):
+            raise ArithmeticError(f"product forms disagree at n={n}")
+    return _dense_poly(coeffs, den)
 
 
 def _hb_entry(i: int, j: int, b_val: Poly) -> Poly:
@@ -137,14 +187,18 @@ def _det_Hb_at(n: int, b_value: Fraction) -> Poly:
     return det_poly(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def product_poly_H2(n: int) -> Poly:
     """Closed product form at parameter value 2; cross-checked against the
     entry determinant at 2 and the doubled half-shift at 1."""
-    prod = Poly.const(1)
-    for j in range((n - 1) // 2 + 1):
-        for i in range(2 * j + 1, 2 * n - 2 * j):
-            prod = prod * (2 * X + i) * Fraction(1, i)
+    _check_index("n", n)
+    prod = _dense_poly(
+        *_linear_product(
+            (2, i)
+            for j in range((n - 1) // 2 + 1)
+            for i in range(2 * j + 1, 2 * n - 2 * j)
+        )
+    )
     direct = _det_Hb_at(n, Fraction(2))
     half_shift = 2**n * _det_Hb_at(n, Fraction(1)).shift_x(Fraction(-1, 2))
     if prod != direct or prod != half_shift:
@@ -175,13 +229,13 @@ def V_poly(n: int) -> Poly:
     return from_det
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def h_poly(n: int) -> Poly:
     """Closed form for the middle-binomial table column n."""
-    prod = Poly.const(1)
-    for k in range(1, n):
-        prod = prod * ((X + k) * Fraction(1, k)) ** min(k, n - k)
-    return prod
+    _check_index("n", n)
+    return _dense_poly(
+        *_linear_product((1, k) for k in range(1, n) for _ in range(min(k, n - k)))
+    )
 
 
 _FAMILY_FUNCS = {

@@ -316,15 +316,6 @@ class TestVerifyCompositeSuites:
         assert payload["summary"]["pass"] == 18
         assert payload["grid"]["models"] == ["dyck", "hv"]
 
-    def test_jobs_do_not_change_bytes(self, capsys):
-        base = (
-            "verify", "--suite", "pp-count", "--n-max", "3", "--k-max", "2",
-            "--format", "json",
-        )
-        _, out1, _ = invoke(capsys, *base, "--jobs", "1")
-        _, out2, _ = invoke(capsys, *base, "--jobs", "3")
-        assert out1 == out2
-
 
 class TestEnumerateAndBijectionCommands:
     def test_enumerate_count_only(self, capsys):

@@ -13,6 +13,7 @@ from shifted_hankel.exact_core import (
     binom_poly,
     det_exact,
     det_poly,
+    leading_minors,
     series_mul,
     series_reciprocal,
 )
@@ -91,6 +92,36 @@ class TestDetExact:
     def test_matches_oracle(self, m):
         expected = laplace_det([[F(v) for v in row] for row in m])
         assert det_exact(m) == expected
+
+
+class TestLeadingMinors:
+    def test_empty_matrix_has_none(self):
+        assert leading_minors([]) == []
+
+    def test_catalan_window(self):
+        # blocks [2], [[2, 5], [5, 14]], and the 3x3 window with 42 ... 132
+        rows = [[2, 5, 14], [5, 14, 42], [14, 42, 132]]
+        assert leading_minors(rows) == [2, 3, 4]
+
+    def test_zero_pivot_ends_the_pass(self):
+        assert leading_minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == [1, 0]
+        assert leading_minors([[1, 2], [2, 4]]) == [1, 0]
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            leading_minors([[1, 2]])
+
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=k, max_size=k)
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_each_minor_is_the_block_determinant(self, m):
+        minors = leading_minors(m)
+        assert 1 <= len(minors) <= len(m)
+        if len(minors) < len(m):
+            assert minors[-1] == 0
+        for r, minor in enumerate(minors, 1):
+            assert minor == det_exact([row[:r] for row in m[:r]])
 
 
 class TestDetPoly:
@@ -210,6 +241,30 @@ class TestPoly:
         p = B * X + X**2
         assert p.subs(x=2) == 2 * B + 4
         assert p.subs(x=2, b=F(1, 2)).constant() == F(5)
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 3)),
+            st.fractions(min_value=-9, max_value=9, max_denominator=6),
+            max_size=8,
+        ),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_subs_matches_termwise_evaluation(self, coeffs, xv, bv):
+        p = Poly(coeffs)
+        at_x = Poly.const(0)
+        at_b = Poly.const(0)
+        at_both = F(0)
+        for dx, db, v in p.terms():
+            at_x += Poly({(0, db): v * xv**dx})
+            at_b += Poly({(dx, 0): v * bv**db})
+            at_both += v * xv**dx * bv**db
+        assert p.subs(x=xv) == at_x
+        assert p.subs(b=bv) == at_b
+        assert p.subs(x=xv, b=bv) == Poly.const(at_both)
+        assert p.subs(x=int(xv)) == p.subs(x=Poly.const(int(xv)))
 
     def test_subs_poly(self):
         p = X**2 + B

@@ -2,11 +2,13 @@
 polynomials, condensation, and the identity suites."""
 
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shifted_hankel import hankel_identities
 from shifted_hankel.exact_core import B, Poly, X, binom_poly, det_exact
 from shifted_hankel.hankel_identities import (
     INDETERMINATE_RATIO,
@@ -109,6 +111,166 @@ class TestHankelDet:
             + u(CATALAN, n + 1, k - 1) ** 2
         )
         assert lhs == 0
+
+
+class ListedSequence:
+    """A numeric table source with terms given by a list."""
+
+    is_numeric = True
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def term(self, n):
+        return self.terms[n]
+
+
+def per_cell(seq, n, k):
+    return det_exact([[seq.term(n + i + j) for j in range(k)] for i in range(k)])
+
+
+def cell_orders(cells, shuffled):
+    return {
+        "ascending": sorted(cells),
+        "descending": sorted(cells, reverse=True),
+        "shuffled": shuffled,
+    }
+
+
+ROW_CELLS = [(n, k) for n in range(4) for k in range(7)]
+
+
+@pytest.fixture
+def pass_orders(monkeypatch):
+    """Orders of the Bareiss passes that tables run during the test."""
+    orders = []
+    real = hankel_identities.leading_minors
+
+    def counted(rows):
+        orders.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(hankel_identities, "leading_minors", counted)
+    return orders
+
+
+class TestRowFill:
+    """A Bareiss pass per row gives the same cells as one determinant each."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        terms=st.one_of(
+            st.lists(st.integers(-2, 2), min_size=40, max_size=40),
+            st.lists(
+                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=40,
+                max_size=40,
+            ),
+        ),
+        shuffled=st.permutations(ROW_CELLS),
+    )
+    def test_random_sequences_match_per_cell(self, terms, shuffled):
+        seq = ListedSequence(terms)
+        for order in cell_orders(ROW_CELLS, shuffled).values():
+            table = HankelTable(seq)
+            for n, k in order:
+                assert table.value(n, k) == per_cell(seq, n, k)
+
+    @settings(max_examples=10, deadline=None)
+    @given(shuffled=st.permutations([(n, k) for n in range(5) for k in range(9)]))
+    def test_degenerate_table_matches_per_cell(self, shuffled):
+        seq = mcap(F(2))
+        for order in cell_orders(shuffled, shuffled).values():
+            table = HankelTable(seq)
+            for n, k in order:
+                assert table.value(n, k) == per_cell(seq, n, k)
+
+    def test_stopped_pass_is_not_redone(self, pass_orders):
+        table = HankelTable(mcap(F(2)))
+        for k in range(2, 9):
+            table.value(3, k)
+        # order 2 ends cleanly in u(3, 2) = 0; order 4 stops at that pivot
+        assert pass_orders == [2, 4]
+        assert table.passes[3] == (4, 2)
+
+    def test_ascending_scan_doubles_the_order(self, pass_orders):
+        table = HankelTable(CATALAN)
+        for k in range(17):
+            table.value(5, k)
+        assert pass_orders == [2, 4, 8, 16]
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(hankel_det, (CATALAN, 0, -3), id="hankel_det-k-negative"),
+        pytest.param(hankel_det, (CATALAN, -1, 2), id="hankel_det-n-negative"),
+        pytest.param(hankel_det, (CATALAN, True, 2), id="hankel_det-n-bool"),
+        pytest.param(hankel_det, (CATALAN, 2, True), id="hankel_det-k-bool"),
+        pytest.param(product_poly_H, (-1,), id="product_poly_H-negative"),
+        pytest.param(product_poly_H, (True,), id="product_poly_H-bool"),
+        pytest.param(h_poly, (-3,), id="h_poly-negative"),
+        pytest.param(h_poly, (True,), id="h_poly-bool"),
+        pytest.param(product_poly_H2, (-1,), id="product_poly_H2-negative"),
+        pytest.param(product_poly_H2, (True,), id="product_poly_H2-bool"),
+    ],
+)
+def test_invalid_index_is_refused(fn, args):
+    if any(isinstance(a, bool) for a in args):
+        # an int already computed must not answer for the equal bool
+        fn(*(int(a) if isinstance(a, bool) else a for a in args))
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        fn(*args)
+
+
+def old_h_poly(n):
+    out = Poly.const(1)
+    for k in range(1, n):
+        out = out * ((X + k) * F(1, k)) ** min(k, n - k)
+    return out
+
+
+def old_h2_product(n):
+    out = Poly.const(1)
+    for j in range((n - 1) // 2 + 1):
+        for i in range(2 * j + 1, 2 * n - 2 * j):
+            out = out * (2 * X + i) * F(1, i)
+    return out
+
+
+class TestIntegerProducts:
+    def test_catalan_products_at_integers(self):
+        for n in range(13):
+            closed = product_poly_H(n)
+            for k in range(11):
+                expected = prod(
+                    F(2 * k + i + j, i + j)
+                    for i in range(1, n)
+                    for j in range(i, n)
+                )
+                assert closed.subs(x=k) == expected
+
+    def test_middle_binomial_family_matches_fraction_products(self):
+        for n in range(13):
+            assert h_poly(n) == old_h_poly(n)
+
+    def test_doubled_parameter_family_matches_fraction_products(self):
+        for n in range(9):
+            assert product_poly_H2(n) == old_h2_product(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-5, 5).filter(bool)),
+            max_size=8,
+        )
+    )
+    def test_linear_product_matches_poly_products(self, factors):
+        expected = Poly.const(1)
+        for a, c in factors:
+            expected = expected * (a * X + c) * F(1, c)
+        coeffs, den = hankel_identities._linear_product(factors)
+        assert hankel_identities._dense_poly(coeffs, den) == expected
 
 
 class TestProductPolyH:
