@@ -8,7 +8,7 @@ are rejected everywhere so no inexact value can enter a computation.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -42,7 +42,7 @@ class Poly:
     with zero coefficients stripped, so equality is support equality.
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c", "_hash", "_slices")
 
     def __init__(self, coeffs: Mapping = ()):
         c = {}
@@ -55,6 +55,7 @@ class Poly:
                 c[(dx, db)] = v
         self._c = c
         self._hash = None
+        self._slices = None
 
     @classmethod
     def const(cls, value) -> "Poly":
@@ -65,6 +66,7 @@ class Poly:
         p = object.__new__(cls)
         p._c = c
         p._hash = None
+        p._slices = None
         return p
 
     # -- queries ---------------------------------------------------------
@@ -146,17 +148,25 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # integer numerators over each factor's common denominator: one
+        # Fraction per result coefficient, not one per term pair
+        da, terms_a = self._numerators()
+        db, terms_b = other._numerators()
         out: dict = {}
         get = out.get
-        for (xa, ba), va in self._c.items():
-            for (xb, bb), vb in other._c.items():
+        for (xa, ba), va in terms_a:
+            for (xb, bb), vb in terms_b:
                 key = (xa + xb, ba + bb)
-                s = get(key, 0) + va * vb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Poly._raw(out)
+                out[key] = get(key, 0) + va * vb
+        den = da * db
+        return Poly._raw({key: Fraction(v, den) for key, v in out.items() if v})
+
+    def _numerators(self):
+        # lcm(*list), not lcm(*generator): a generator's argument tuple is
+        # built at one size and freed at another, which moves tuples between
+        # the interpreter's per-size free lists and grows them on every call
+        den = lcm(*[v.denominator for v in self._c.values()])
+        return den, [(key, v.numerator * (den // v.denominator)) for key, v in self._c.items()]
 
     __rmul__ = __mul__
 
@@ -229,23 +239,39 @@ class Poly:
         # Horner in integers per monomial of the other variable, over the
         # common denominator of its coefficients; one Fraction per monomial
         p, q = value.numerator, value.denominator
-        slices: dict = {}
-        for key, v in self._c.items():
-            slices.setdefault(key[1 - axis], {})[key[axis]] = v
         out = {}
-        for other, cs in slices.items():
-            top = max(cs)
-            den = lcm(*(v.denominator for v in cs.values()))
+        for other, den, coeffs in self._int_slices(axis):
             acc = 0
-            for d in range(top, -1, -1):
-                acc *= p
-                v = cs.get(d)
-                if v is not None:
-                    acc += v.numerator * (den // v.denominator) * q ** (top - d)
+            q_power = 1
+            for v in coeffs:
+                acc = acc * p + v * q_power
+                q_power *= q
             if acc:
                 key = (0, other) if axis == 0 else (other, 0)
-                out[key] = Fraction(acc, den * q**top)
+                out[key] = Fraction(acc, den * q ** (len(coeffs) - 1))
         return Poly._raw(out)
+
+    def _int_slices(self, axis: int) -> list:
+        # per monomial of the other variable: (its degree, the common
+        # denominator, integer numerators from the top degree in `axis`
+        # down to 0); built once, since evaluation repeats at many points
+        if self._slices is None:
+            self._slices = [None, None]
+        slices = self._slices[axis]
+        if slices is None:
+            groups: dict = {}
+            for key, v in self._c.items():
+                groups.setdefault(key[1 - axis], {})[key[axis]] = v
+            slices = []
+            for other, cs in groups.items():
+                den = lcm(*[v.denominator for v in cs.values()])
+                top = max(cs)
+                coeffs = [0] * (top + 1)
+                for d, v in cs.items():
+                    coeffs[top - d] = v.numerator * (den // v.denominator)
+                slices.append((other, den, coeffs))
+            self._slices[axis] = slices
+        return slices
 
     def shift_x(self, beta) -> "Poly":
         """x -> x + beta for an exact scalar beta."""
@@ -480,190 +506,103 @@ def leading_minors(rows: Sequence[Sequence[int]]) -> list:
 
 
 def det_poly(rows: Sequence[Sequence]) -> Poly:
-    """Exact determinant of a polynomial matrix.
+    """Exact determinant of a matrix over Q[b, x], from integer determinants.
 
-    Cofactor (Laplace) expansion with memoized column subsets for size <= 6;
-    fraction-free Bareiss elimination over the polynomial ring, with exact
-    division and column-swap pivoting, above that. Rows are scaled to integer
-    coefficients first so the hot path works on integer maps.
+    Denominators are cleared per row or per column, whichever scale product
+    is smaller. The degree of the determinant in each variable is bounded by
+    the lesser of the row sums and the column sums of the entries' maximal
+    degrees; the variable with the smaller bound D is evaluated at 0..D.
+    At each point the other variable is packed as 2^w (Kronecker
+    substitution), where 2^(w-1) exceeds the lesser of the products of the
+    rows' and of the columns' coefficient 1-norms, either of which bounds
+    every coefficient of every minor. Each packed integer matrix is
+    eliminated by the same fraction-free Bareiss routine as det_exact; its
+    determinant unpacks in balanced base-2^w digits, and integer Newton
+    interpolation over the D+1 points rebuilds each coefficient. Both bounds
+    are rigorous: no degree is guessed and no point is random.
     """
     m = _validated_square(rows)
     k = len(m)
     if k == 0:
         return Poly.const(1)
-    scale = 1
-    im = []
-    for row in m:
-        polys = []
-        for entry in row:
-            if isinstance(entry, Poly):
-                polys.append(entry)
-            else:
-                polys.append(Poly.const(entry))
-        denoms = [v.denominator for p in polys for v in p._c.values()]
-        d = lcm(*denoms) if denoms else 1
-        scale *= d
-        im.append([{key: int(v * d) for key, v in p._c.items()} for p in polys])
-    result = _det_ip_laplace(im) if k <= 6 else _det_ip_bareiss(im)
-    return Poly({key: Fraction(v, scale) for key, v in result.items()})
+    cs = [[(e if isinstance(e, Poly) else Poly.const(e))._c for e in row] for row in m]
+    row_dens = [lcm(*[v.denominator for c in row for v in c.values()]) for row in cs]
+    col_dens = [lcm(*[v.denominator for c in col for v in c.values()]) for col in zip(*cs)]
+    row_scale, col_scale = prod(row_dens), prod(col_dens)
+    scale = min(row_scale, col_scale)
+    dens = [col_dens] * k if col_scale < row_scale else [[d] * k for d in row_dens]
+    im = [
+        [{key: v.numerator * (d // v.denominator) for key, v in c.items()} for c, d in zip(row, drow)]
+        for row, drow in zip(cs, dens)
+    ]
+    bounds = []
+    for axis in (0, 1):
+        degs = [[max((key[axis] for key in c), default=0) for c in row] for row in im]
+        bounds.append(min(sum(map(max, degs)), sum(map(max, zip(*degs)))))
+    axis = 0 if bounds[0] <= bounds[1] else 1  # the evaluated variable
+    top = bounds[axis]
+    pack = 1 - axis
+    per_point = []
+    for t in range(top + 1):
+        powers = [t**e for e in range(top + 1)]
+        packed = []
+        for row in im:
+            at_t = []
+            for c in row:
+                v: dict = {}
+                for key, coeff in c.items():
+                    v[key[pack]] = v.get(key[pack], 0) + coeff * powers[key[axis]]
+                at_t.append(v)
+            packed.append(at_t)
+        norms = [[sum(map(abs, v.values())) for v in row] for row in packed]
+        norm = min(
+            prod(max(sum(line), 1) for line in lines) for lines in (norms, zip(*norms))
+        )
+        width = norm.bit_length() + 1
+        for i, at_t in enumerate(packed):
+            packed[i] = [sum(a << (width * d) for d, a in v.items()) for v in at_t]
+        per_point.append(_balanced_digits(_bareiss_int(packed), width))
+    out = {}
+    for d in range(max(map(len, per_point))):
+        column = [digits[d] if d < len(digits) else 0 for digits in per_point]
+        for e, v in enumerate(_interpolate(column)):
+            if v:
+                out[(e, d) if axis == 0 else (d, e)] = Fraction(v, scale)
+    return Poly._raw(out)
 
 
-def _ip_mul(a: dict, b: dict) -> dict:
-    if len(a) < len(b):
-        a, b = b, a
-    out: dict = {}
-    get = out.get
-    b_items = list(b.items())
-    for (xa, ba), va in a.items():
-        for (xb, bb), vb in b_items:
-            key = (xa + xb, ba + bb)
-            s = get(key, 0) + va * vb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+def _balanced_digits(value: int, width: int) -> list:
+    """Digits of value in base 2^width, lowest first, each in
+    [-2^(width-1), 2^(width-1))."""
+    digits = []
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= 1 << width
+        digits.append(d)
+        value = (value - d) >> width
+    return digits
 
 
-def _ip_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, v in b.items():
-        s = out.get(key, 0) - v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+def _interpolate(values: list) -> list:
+    """Integer coefficients, lowest first, of the integer polynomial of
+    degree < len(values) that takes values[t] at t = 0, 1, ...
 
-
-def _ip_iadd(target: dict, term: dict) -> None:
-    for key, v in term.items():
-        s = target.get(key, 0) + v
-        if s:
-            target[key] = s
-        else:
-            target.pop(key, None)
-
-
-def _det_ip_laplace(m: list) -> dict:
-    k = len(m)
-    states = {0: {(0, 0): 1}}
-    for r in range(k):
-        new_states: dict = {}
-        for mask, minor in states.items():
-            for j in range(k):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                entry = m[r][j]
-                if not entry:
-                    continue
-                term = _ip_mul(minor, entry)
-                if bin(mask >> (j + 1)).count("1") % 2:
-                    term = {key: -v for key, v in term.items()}
-                target = new_states.get(mask | bit)
-                if target is None:
-                    new_states[mask | bit] = term
-                else:
-                    _ip_iadd(target, term)
-        states = new_states
-        if not states:
-            return {}
-    return states.get((1 << k) - 1, {})
-
-
-def _det_ip_bareiss(m: list) -> dict:
-    k = len(m)
-    sign = 1
-    prev: dict = {(0, 0): 1}
-    for r in range(k - 1):
-        if not m[r][r]:
-            for c in range(r + 1, k):
-                if m[r][c]:
-                    for row in m:
-                        row[r], row[c] = row[c], row[r]
-                    sign = -sign
-                    break
-            else:
-                return {}
-        pivot = m[r][r]
-        trivial_prev = prev == {(0, 0): 1}
-        for i in range(r + 1, k):
-            head = m[i][r]
-            for j in range(r + 1, k):
-                num = _ip_mul(pivot, m[i][j])
-                if head:
-                    num = _ip_sub(num, _ip_mul(head, m[r][j]))
-                m[i][j] = num if trivial_prev else _ip_div_exact(num, prev)
-            m[i][r] = {}
-        prev = pivot
-    last = m[k - 1][k - 1]
-    if sign < 0:
-        last = {key: -v for key, v in last.items()}
-    return last
-
-
-def _ip_div_exact(f: dict, g: dict) -> dict:
-    """Exact division in Z[b,x]; exactness is guaranteed by Bareiss theory
-    and verified, with any violation reported as an internal error."""
-    if not f:
-        return {}
-    fx: dict = {}
-    for (dx, db), v in f.items():
-        fx.setdefault(dx, {})[db] = v
-    gx: dict = {}
-    for (dx, db), v in g.items():
-        gx.setdefault(dx, {})[db] = v
-    g_top = max(gx)
-    g_lead = gx[g_top]
-    f_top = max(fx)
-    quotient: dict = {}
-    g_items = list(gx.items())
-    for dq in range(f_top - g_top, -1, -1):
-        num = fx.get(dq + g_top)
-        if not num:
-            continue
-        qb = _ib_div_exact(num, g_lead)
-        for db, v in qb.items():
-            quotient[(dq, db)] = v
-        for dgx, gcs in g_items:
-            target = fx.setdefault(dq + dgx, {})
-            for dgb, gv in gcs.items():
-                for db, qv in qb.items():
-                    key = dgb + db
-                    s = target.get(key, 0) - qv * gv
-                    if s:
-                        target[key] = s
-                    else:
-                        del target[key]
-    if any(cs for cs in fx.values()):
-        raise ArithmeticError("internal error: polynomial division not exact")
-    return quotient
-
-
-def _ib_div_exact(num: dict, den: dict) -> dict:
-    d_top = max(den)
-    d_lead = den[d_top]
-    rem = dict(num)
-    quotient: dict = {}
-    den_items = list(den.items())
-    while rem:
-        n_top = max(rem)
-        if n_top < d_top:
-            raise ArithmeticError("internal error: polynomial division not exact")
-        qc, leftover = divmod(rem[n_top], d_lead)
-        if leftover:
-            raise ArithmeticError("internal error: polynomial division not exact")
-        dq = n_top - d_top
-        quotient[dq] = qc
-        for dd, dv in den_items:
-            key = dq + dd
-            s = rem.get(key, 0) - qc * dv
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return quotient
+    Divided differences of an integer polynomial at consecutive integers are
+    integers, so every division is exact."""
+    c = list(values)
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // j
+    p = [c[-1]]
+    for i in range(n - 2, -1, -1):
+        # Newton form to monomials: p <- p * (t - i) + c[i]
+        p = [lo - i * hi for lo, hi in zip([0] + p, p + [0])]
+        p[0] += c[i]
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -171,17 +171,19 @@ def _hb_entry(i: int, j: int, b_val: Poly) -> Poly:
     return binom_poly(X + i + j, 2 * j) + b_val * binom_poly(X + i + j, 2 * j + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def det_poly_Hb(n: int) -> Poly:
     """Bivariate closed form: determinant of the binomial entry matrix with
     a linear parameter column weight."""
+    _check_index("n", n)
     rows = [[_hb_entry(i, j, B) for j in range(n)] for i in range(n)]
     return det_poly(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _det_Hb_at(n: int, b_value: Fraction) -> Poly:
     # specializing the entries commutes with the determinant
+    _check_index("n", n)
     bp = Poly.const(b_value)
     rows = [[_hb_entry(i, j, bp) for j in range(n)] for i in range(n)]
     return det_poly(rows)
@@ -217,10 +219,11 @@ def _v_entry(i: int, j: int) -> Poly:
     return even_part + odd_part
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def V_poly(n: int) -> Poly:
     """Half-integer shift of the bivariate family, scaled to polynomial form;
     computed by substitution and by its own entry determinant."""
+    _check_index("n", n)
     from_shift = 2**n * det_poly_Hb(n).shift_x(Fraction(-1, 2))
     rows = [[_v_entry(i, j) for j in range(n)] for i in range(n)]
     from_det = det_poly(rows)

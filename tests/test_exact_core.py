@@ -151,15 +151,15 @@ class TestDetPoly:
         ]
         assert det_poly(m) == laplace_det(m)
 
-    def test_seven_by_seven_bareiss_path(self):
+    def test_seven_by_seven_matches_oracle(self):
         m = [
             [Poly.const(i + j + 1) + (X if i == j else Poly.const(0)) for j in range(7)]
             for i in range(7)
         ]
         assert det_poly(m) == laplace_det(m)
 
-    def test_bareiss_column_swap(self):
-        # anti-diagonal of x's: zero pivots force column swaps
+    def test_anti_diagonal_zero_pivots(self):
+        # anti-diagonal of x's: zero pivots force row swaps
         k = 7
         m = [[X if i + j == k - 1 else Poly.const(0) for j in range(k)] for i in range(k)]
         assert det_poly(m) == laplace_det(m)
@@ -191,6 +191,88 @@ class TestDetPoly:
             [[e.subs(x=xv, b=bv).constant() for e in row] for row in m]
         )
         assert d.subs(x=xv, b=bv).constant() == pointwise
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def poly_matrices(draw, max_order, variables):
+    """Square matrices over Q[b, x] whose entries have degree <= 2 in each
+    of the given variables, with zero entries and at times a zero row.
+    x-only and b-only matrices make det_poly pack x and b respectively."""
+    k = draw(st.integers(min_value=0, max_value=max_order))
+    keys = [
+        (dx, db)
+        for dx in range(3 if "x" in variables else 1)
+        for db in range(3 if "b" in variables else 1)
+    ]
+    # integer pairs draw far faster than st.fractions; about one entry in
+    # four is zero
+    term = st.tuples(st.sampled_from(keys), small_ints, st.integers(min_value=1, max_value=4))
+    entry = st.tuples(st.integers(min_value=0, max_value=3), st.lists(term, min_size=1, max_size=3)).map(
+        lambda pair: Poly({key: F(p, q) for key, p, q in pair[1]}) if pair[0] else Poly.const(0)
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    if k and draw(st.integers(min_value=0, max_value=5)) == 0:
+        rows[draw(st.integers(min_value=0, max_value=k - 1))] = [Poly.const(0)] * k
+    return rows
+
+
+@pytest.mark.parametrize("variables", ["xb", "x", "b"])
+class TestDetPolyDifferential:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), xv=small_fractions, bv=small_fractions)
+    def test_matches_determinant_of_the_evaluated_matrix(self, variables, data, xv, bv):
+        m = data.draw(poly_matrices(9, variables))
+        pointwise = det_exact([[e.subs(x=xv, b=bv).constant() for e in row] for row in m])
+        assert det_poly(m).subs(x=xv, b=bv).constant() == pointwise
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_cofactor_expansion(self, variables, data):
+        m = data.draw(poly_matrices(5, variables))
+        assert det_poly(m) == laplace_det(m)
+
+
+poly_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 3)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    max_size=6,
+)
+
+
+def termwise_product(a: dict, b: dict) -> dict:
+    out = {}
+    for (xa, ba), va in a.items():
+        for (xb, bb), vb in b.items():
+            key = (xa + xb, ba + bb)
+            out[key] = out.get(key, F(0)) + va * vb
+    return {key: v for key, v in out.items() if v}
+
+
+class TestPolyProductDifferential:
+    @given(poly_coeffs, poly_coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_termwise_fraction_product(self, a, b):
+        p, q = Poly(a), Poly(b)
+        product = p * q
+        assert product._c == termwise_product(p._c, q._c)
+        assert all(isinstance(v, F) for v in product._c.values())
+
+    @given(poly_coeffs, small_fractions)
+    @settings(max_examples=40, deadline=None)
+    def test_cancelling_terms_are_dropped(self, a, c):
+        # (p*(x - c)) * (x + c) = p*(x^2 - c^2): the middle terms cancel
+        p = Poly(a)
+        lhs = p * (X - c) * (X + c)
+        assert lhs._c == termwise_product(p._c, (X * X - c * c)._c)
+        assert (p * (B - c) - p * B + p * c).is_zero
+
+    def test_products_that_vanish(self):
+        assert ((X + B) * (X - B))._c == {(2, 0): 1, (0, 2): -1}
+        assert (Poly.const(0) * (X + F(1, 3))).is_zero
+        assert ((X * F(2, 3)) * Poly.const(F(3, 2)))._c == {(1, 0): 1}
 
 
 class TestBinomPoly:
@@ -265,6 +347,16 @@ class TestPoly:
         assert p.subs(b=bv) == at_b
         assert p.subs(x=xv, b=bv) == Poly.const(at_both)
         assert p.subs(x=int(xv)) == p.subs(x=Poly.const(int(xv)))
+
+    @given(poly_coeffs, st.lists(small_fractions, min_size=2, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_scalar_subs_matches_a_fresh_poly(self, coeffs, points):
+        # evaluation reuses integer slices cached on the polynomial
+        p = Poly(coeffs)
+        for v in points:
+            assert p.subs(x=v) == Poly(coeffs).subs(x=v)
+            assert p.subs(b=v) == Poly(coeffs).subs(b=v)
+            assert p.subs(x=v, b=1 - v) == Poly(coeffs).subs(x=v, b=1 - v)
 
     def test_subs_poly(self):
         p = X**2 + B

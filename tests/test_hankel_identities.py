@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shifted_hankel import hankel_identities
+from shifted_hankel import exact_core, hankel_identities
 from shifted_hankel.exact_core import B, Poly, X, binom_poly, det_exact
 from shifted_hankel.hankel_identities import (
     INDETERMINATE_RATIO,
@@ -213,6 +213,10 @@ class TestRowFill:
         pytest.param(h_poly, (True,), id="h_poly-bool"),
         pytest.param(product_poly_H2, (-1,), id="product_poly_H2-negative"),
         pytest.param(product_poly_H2, (True,), id="product_poly_H2-bool"),
+        pytest.param(det_poly_Hb, (-2,), id="det_poly_Hb-negative"),
+        pytest.param(det_poly_Hb, (True,), id="det_poly_Hb-bool"),
+        pytest.param(V_poly, (-1,), id="V_poly-negative"),
+        pytest.param(V_poly, (True,), id="V_poly-bool"),
     ],
 )
 def test_invalid_index_is_refused(fn, args):
@@ -329,6 +333,33 @@ class TestDetPolyHb:
     def test_value_at_one_gives_the_moments(self):
         for n in range(7):
             assert det_poly_Hb(n).subs(x=1) == sequence_term("Mb", n, b=B)
+
+
+    def test_entry_determinant_runs_no_ring_arithmetic(self, monkeypatch):
+        # det_poly must stay integer determinants of evaluations: no Poly
+        # product, and one integer determinant per evaluation point
+        rows = [[hankel_identities._hb_entry(i, j, B) for j in range(8)] for i in range(8)]
+        b_bound = sum(max(entry.deg_b for entry in row) for row in rows)
+        expected = det_poly_Hb(8)
+        products = []
+        determinants = []
+        poly_mul = Poly.__mul__
+        bareiss = exact_core._bareiss_int
+
+        def counted_mul(self, other):
+            products.append(other)
+            return poly_mul(self, other)
+
+        def counted_bareiss(m):
+            determinants.append(len(m))
+            return bareiss(m)
+
+        monkeypatch.setattr(Poly, "__mul__", counted_mul)
+        monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+        monkeypatch.setattr(exact_core, "_bareiss_int", counted_bareiss)
+        assert exact_core.det_poly(rows) == expected
+        assert products == []
+        assert 1 <= len(determinants) <= b_bound + 1
 
 
 class TestProductPolyH2:
