@@ -20,6 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .exact_core import B, Poly, series_mul
@@ -43,6 +44,7 @@ from .ortho_moments import (
 from .report import INDETERMINATE, PASS, VerificationReport
 from .staircase_combinatorics import (
     count_nonintersecting_brute,
+    count_pp,
     count_pp_vs_formulas,
     dyck_endpoints,
     dyck_to_pp,
@@ -125,7 +127,9 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _bounded_int(lo: int, what: str):
+def _bounded_int(lo: int, what: str, hi: int | None = MAX_INDEX):
+    """Parser for an integer in [lo, hi]; hi=None leaves it unbounded."""
+
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -133,9 +137,10 @@ def _bounded_int(lo: int, what: str):
             raise argparse.ArgumentTypeError(
                 f"{what} must be an integer, got {text!r}"
             ) from None
-        if value < lo or value > MAX_INDEX:
+        if value < lo or (hi is not None and value > hi):
+            span = f"be at least {lo}" if hi is None else f"lie in [{lo}, {hi}]"
             raise argparse.ArgumentTypeError(
-                f"{what} must lie in [{lo}, {MAX_INDEX}], got {value}"
+                f"{what} must {span}, got {value}"
             )
         return value
 
@@ -325,8 +330,17 @@ def _suite_basis(n_max: int) -> VerificationReport:
     return report
 
 
-def _suite_pp_count(n_max: int, k_max: int) -> VerificationReport:
+def _staircase_grid(suite: str, n_max: int, k_max: int) -> list:
     combos = [(n, k) for n in range(1, n_max + 1) for k in range(k_max + 1)]
+    if not combos:
+        raise ValueError(
+            f"suite {suite} has an empty grid: n-max must be at least 1"
+        )
+    return combos
+
+
+def _suite_pp_count(n_max: int, k_max: int) -> VerificationReport:
+    combos = _staircase_grid("pp-count", n_max, k_max)
     results = [count_pp_vs_formulas(n, k) for n, k in combos]
     report = VerificationReport(
         suite="pp-count", grid={"n_max": n_max, "k_max": k_max}
@@ -377,7 +391,7 @@ def _bijection_cell(n: int, k: int, cap: int):
 
 
 def _suite_bijection(n_max: int, k_max: int, cap: int) -> VerificationReport:
-    combos = [(n, k) for n in range(1, n_max + 1) for k in range(k_max + 1)]
+    combos = _staircase_grid("bijection-roundtrip", n_max, k_max)
     results = [_bijection_cell(n, k, cap) for n, k in combos]
     report = VerificationReport(
         suite="bijection-roundtrip",
@@ -526,16 +540,22 @@ def _report_csv(report: VerificationReport) -> list[list[str]]:
     return rows
 
 
-def _write(args, *, text: list[str], json_obj: dict, csv_rows: list[list[str]]):
+def _write(args, *, text, json_obj, csv_rows):
+    """Build and write only the format args.format names.
+
+    Each keyword is a zero-argument builder: text returns the lines,
+    json_obj the object to dump and csv_rows the rows.
+    """
     if args.format == "json":
-        content = json.dumps(json_obj, indent=2) + "\n"
+        content = json.dumps(json_obj(), indent=2) + "\n"
     elif args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(csv_rows)
+        writer.writerows(csv_rows())
         content = buffer.getvalue()
     else:
-        content = "\n".join(text) + "\n" if text else ""
+        lines = text()
+        content = "\n".join(lines) + "\n" if lines else ""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(content)
@@ -558,78 +578,82 @@ def _sequence_from_args(args) -> MomentSequence:
 def _cmd_moments(args) -> int:
     seq = _sequence_from_args(args)
     rendered = [_render_value(seq.term(n)) for n in range(args.count)]
-    json_obj = {
-        "family": args.family,
-        "b": None if args.b is None else str(args.b),
-        "count": args.count,
-        "terms": rendered,
-        "meta": _meta(),
-    }
-    if args.family == "jacobi":
-        json_obj["spec"] = args.jacobi
-    csv_rows = [["family", "n", "b", "value"]]
-    for n, value in enumerate(rendered):
-        csv_rows.append(
-            [args.family, str(n), "" if args.b is None else str(args.b), value]
-        )
-    _write(args, text=[" ".join(rendered)], json_obj=json_obj, csv_rows=csv_rows)
+    b_text = None if args.b is None else str(args.b)
+    spec = {"spec": args.jacobi} if args.family == "jacobi" else {}
+    _write(
+        args,
+        text=lambda: [" ".join(rendered)],
+        json_obj=lambda: {
+            "family": args.family,
+            "b": b_text,
+            "count": args.count,
+            "terms": rendered,
+            "meta": _meta(),
+            **spec,
+        },
+        csv_rows=lambda: [["family", "n", "b", "value"]]
+        + [
+            [args.family, str(n), b_text or "", value]
+            for n, value in enumerate(rendered)
+        ],
+    )
     return 0
 
 
 def _cmd_poly(args) -> int:
     rendered = PolyFamily(args.which).member(args.n).render()
-    json_obj = {
-        "which": args.which,
-        "n": args.n,
-        "poly": rendered,
-        "meta": _meta(),
-    }
-    csv_rows = [["which", "n", "poly"], [args.which, str(args.n), rendered]]
-    _write(args, text=[rendered], json_obj=json_obj, csv_rows=csv_rows)
+    _write(
+        args,
+        text=lambda: [rendered],
+        json_obj=lambda: {
+            "which": args.which,
+            "n": args.n,
+            "poly": rendered,
+            "meta": _meta(),
+        },
+        csv_rows=lambda: [
+            ["which", "n", "poly"],
+            [args.which, str(args.n), rendered],
+        ],
+    )
     return 0
+
+
+def _aligned(rows: list[list[str]]) -> list[str]:
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in rows
+    ]
 
 
 def _cmd_hankel(args) -> int:
     seq = _sequence_from_args(args)
-    n_lo, n_hi = args.n
-    k_lo, k_hi = args.k
-    table = [
-        [_render_value(hankel_det(seq, n, k)) for k in range(k_lo, k_hi + 1)]
-        for n in range(n_lo, n_hi + 1)
-    ]
-    header = ["n\\k"] + [str(k) for k in range(k_lo, k_hi + 1)]
-    body = [
-        [str(n)] + table[i] for i, n in enumerate(range(n_lo, n_hi + 1))
-    ]
-    widths = [
-        max(len(row[col]) for row in [header] + body)
-        for col in range(len(header))
-    ]
-    text = [
-        "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)).rstrip()
-        for row in [header] + body
-    ]
-    json_obj = {
-        "family": args.family,
-        "b": None if args.b is None else str(args.b),
-        "n": [n_lo, n_hi],
-        "k": [k_lo, k_hi],
-        "values": table,
-        "meta": _meta(),
-    }
-    csv_rows = [["family", "n", "k", "b", "value"]]
-    for i, n in enumerate(range(n_lo, n_hi + 1)):
-        for j, k in enumerate(range(k_lo, k_hi + 1)):
-            csv_rows.append(
-                [
-                    args.family,
-                    str(n),
-                    str(k),
-                    "" if args.b is None else str(args.b),
-                    table[i][j],
-                ]
-            )
-    _write(args, text=text, json_obj=json_obj, csv_rows=csv_rows)
+    ns = range(args.n[0], args.n[1] + 1)
+    ks = range(args.k[0], args.k[1] + 1)
+    table = [[_render_value(hankel_det(seq, n, k)) for k in ks] for n in ns]
+    b_text = None if args.b is None else str(args.b)
+    _write(
+        args,
+        text=lambda: _aligned(
+            [["n\\k"] + [str(k) for k in ks]]
+            + [[str(n)] + row for n, row in zip(ns, table)]
+        ),
+        json_obj=lambda: {
+            "family": args.family,
+            "b": b_text,
+            "n": list(args.n),
+            "k": list(args.k),
+            "values": table,
+            "meta": _meta(),
+        },
+        csv_rows=lambda: [["family", "n", "k", "b", "value"]]
+        + [
+            [args.family, str(n), str(k), b_text or "", value]
+            for n, row in zip(ns, table)
+            for k, value in zip(ks, row)
+        ],
+    )
     return 0
 
 
@@ -643,79 +667,86 @@ def _cmd_verify(args) -> int:
     )
     _write(
         args,
-        text=_report_text(report),
-        json_obj=_report_payload(report),
-        csv_rows=_report_csv(report),
+        text=partial(_report_text, report),
+        json_obj=partial(_report_payload, report),
+        csv_rows=partial(_report_csv, report),
     )
     return report_exit_code(report)
 
 
 def _cmd_enumerate_pp(args) -> int:
-    count = 0
+    n, k = args.n, args.k
     listed = []
-    for p in enumerate_pp(args.n, args.k):
-        count += 1
-        if args.list:
-            listed.append(partition_to_text(p))
-    text = [f"count: {count}"]
     if args.list:
-        text.extend(line if line else "(empty)" for line in listed)
-    json_obj = {"n": args.n, "k": args.k, "count": count, "meta": _meta()}
-    if args.list:
-        json_obj = {
-            "n": args.n,
-            "k": args.k,
-            "count": count,
-            "partitions": listed,
-            "meta": _meta(),
-        }
-    if args.list:
-        csv_rows = [["n", "k", "partition"]] + [
-            [str(args.n), str(args.k), line] for line in listed
-        ]
-    else:
-        csv_rows = [["n", "k", "count"], [str(args.n), str(args.k), str(count)]]
-    _write(args, text=text, json_obj=json_obj, csv_rows=csv_rows)
+        listed = [partition_to_text(p) for p in enumerate_pp(n, k)]
+    count = len(listed) if args.list else count_pp(n, k)
+    listing = {"partitions": listed} if args.list else {}
+    _write(
+        args,
+        text=lambda: [f"count: {count}"]
+        + [line or "(empty)" for line in listed],
+        json_obj=lambda: {
+            "n": n, "k": k, "count": count, **listing, "meta": _meta()
+        },
+        csv_rows=lambda: (
+            [["n", "k", "partition"]]
+            + [[str(n), str(k), line] for line in listed]
+            if args.list
+            else [["n", "k", "count"], [str(n), str(k), str(count)]]
+        ),
+    )
     return 0
 
 
 def _cmd_bijection(args) -> int:
     encode = pp_to_dyck if args.which == "dyck" else pp_to_hv
     decode = dyck_to_pp if args.which == "dyck" else hv_to_pp
-    text = []
-    cells = []
-    csv_rows = [["n", "k", "model", "partition", "image", "status"]]
-    all_ok = True
-    for p in enumerate_pp(args.n, args.k):
-        family = encode(p)
-        if args.which == "dyck" and args.k == 0:
-            ok = True
-        else:
-            try:
-                ok = decode(family) == p
-            except ValueError:
-                ok = False
-        all_ok = all_ok and ok
-        ptext = partition_to_text(p)
-        ftext = ";".join(path_to_text(path) for path in family.paths)
-        status = "ok" if ok else "fail"
-        text.append(
-            f"{ptext if ptext else '(empty)'} -> "
-            f"{ftext if ftext else '(no paths)'} [{status}]"
-        )
-        cells.append({"partition": ptext, "image": ftext, "status": status})
-        csv_rows.append(
-            [str(args.n), str(args.k), args.which, ptext, ftext, status]
-        )
-    json_obj = {
-        "n": args.n,
-        "k": args.k,
-        "model": args.which,
-        "cells": cells,
-        "meta": _meta(),
-    }
-    _write(args, text=text, json_obj=json_obj, csv_rows=csv_rows)
-    return 0 if all_ok else 1
+    failures = 0
+
+    def cells():
+        # (partition, image, status) per partition, produced while the one
+        # requested format is built, so no other form is ever held.
+        nonlocal failures
+        for p in enumerate_pp(args.n, args.k):
+            family = encode(p)
+            if args.which == "dyck" and args.k == 0:
+                ok = True
+            else:
+                try:
+                    ok = decode(family) == p
+                except ValueError:
+                    ok = False
+            failures += not ok
+            yield (
+                partition_to_text(p),
+                ";".join(path_to_text(path) for path in family.paths),
+                "ok" if ok else "fail",
+            )
+
+    n_text, k_text = str(args.n), str(args.k)
+    _write(
+        args,
+        text=lambda: [
+            f"{ptext or '(empty)'} -> {ftext or '(no paths)'} [{status}]"
+            for ptext, ftext, status in cells()
+        ],
+        json_obj=lambda: {
+            "n": args.n,
+            "k": args.k,
+            "model": args.which,
+            "cells": [
+                {"partition": ptext, "image": ftext, "status": status}
+                for ptext, ftext, status in cells()
+            ],
+            "meta": _meta(),
+        },
+        csv_rows=lambda: [["n", "k", "model", "partition", "image", "status"]]
+        + [
+            [n_text, k_text, args.which, ptext, ftext, status]
+            for ptext, ftext, status in cells()
+        ],
+    )
+    return 0 if failures == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +805,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", dest="n_max", type=_bounded_int(0, "n-max"))
     verify.add_argument("--k-max", dest="k_max", type=_bounded_int(0, "k-max"))
     verify.add_argument("--b", action="append", type=parse_rational)
-    verify.add_argument("--cap", type=int, default=100_000)
+    verify.add_argument(
+        "--cap", type=_bounded_int(0, "cap", hi=None), default=100_000
+    )
 
     enum_pp = sub.add_parser(
         "enumerate-pp",

@@ -46,6 +46,39 @@ class PlanePartition:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        # One pass per row against the row above accepts a valid filling;
+        # anything else goes to the entry-by-entry check, which names the
+        # first fault.
+        if not self._fits():
+            self._raise_first_fault()
+
+    def _fits(self) -> bool:
+        n, k = self.n, self.k
+        if type(n) is not int or type(k) is not int or n < 1 or k < 0:
+            return False
+        if len(self.rows) != n - 1:
+            return False
+        width = n - 1
+        above = (k,) * width
+        for row in self.rows:
+            if len(row) != width:
+                return False
+            left = k
+            for a, e in zip(above, row):
+                if type(e) is not int or e > a or e > left:
+                    return False
+                left = e
+            if left < 0:
+                return False
+            above = row
+            width -= 1
+        return True
+
+    def _raise_first_fault(self) -> None:
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise ValueError("order n must be at least 1")
         if self.k < 0:
@@ -57,6 +90,10 @@ class PlanePartition:
             )
         for i, row in enumerate(self.rows):
             for j, entry in enumerate(row):
+                if type(entry) is not int:
+                    raise TypeError(
+                        f"entry {entry!r} at ({i + 1}, {j + 1}) is not an int"
+                    )
                 if entry < 0:
                     raise ValueError(f"negative entry at ({i + 1}, {j + 1})")
                 if entry > self.k:
@@ -136,9 +173,15 @@ class PathFamily:
     def __post_init__(self) -> None:
         if len({p.model for p in self.paths}) > 1:
             raise ValueError("all paths in a family must share one model")
+        # Every step raises x or, at equal x, lowers y, so no path visits a
+        # vertex twice and the paths are disjoint exactly when the vertex
+        # counts add up; only a collision needs the loop that names the pair.
+        vertices = [p.vertices() for p in self.paths]
+        if sum(map(len, vertices)) == len(set().union(*vertices)):
+            return
         seen: dict[Point, int] = {}
-        for idx, path in enumerate(self.paths):
-            for v in path.vertices():
+        for idx, path_vertices in enumerate(vertices):
+            for v in path_vertices:
                 other = seen.get(v)
                 if other is not None and other != idx:
                     raise ValueError(
@@ -149,7 +192,7 @@ class PathFamily:
 
 def partition_to_text(p: PlanePartition) -> str:
     """Rows joined by ';', entries by ','; the empty shape renders as ""."""
-    return ";".join(",".join(str(e) for e in row) for row in p.rows)
+    return ";".join([",".join(map(str, row)) for row in p.rows])
 
 
 def partition_from_text(text: str, k: int) -> PlanePartition:
@@ -186,6 +229,8 @@ def path_from_text(text: str, model: str) -> LatticePath:
 
 def enumerate_pp(n: int, k: int) -> Iterator[PlanePartition]:
     """Stream all partitions in lexicographic order of row-major entries."""
+    if type(n) is not int or type(k) is not int:
+        raise TypeError(f"n and k must be ints, got {n!r} and {k!r}")
     if n < 1:
         raise ValueError("order n must be at least 1")
     if k < 0:
@@ -194,27 +239,37 @@ def enumerate_pp(n: int, k: int) -> Iterator[PlanePartition]:
 
 
 def _walk(n: int, k: int) -> Iterator[PlanePartition]:
+    # Row i is any weakly decreasing tuple lying entrywise under the first
+    # n-1-i entries of row i-1 (row 0 under (k, ..., k)).  The admissible
+    # rows under each cap are listed once, in lexicographic order, in a
+    # dict that lives as long as this generator.
     if n == 1:
         yield PlanePartition(1, k, ())
         return
-    lengths = tuple(n - 1 - i for i in range(n - 1))
-    rows = [[0] * ln for ln in lengths]
+    lists: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    def fill(i: int, j: int) -> Iterator[PlanePartition]:
-        if i == len(lengths):
-            yield PlanePartition(n, k, tuple(tuple(r) for r in rows))
-            return
-        if j == lengths[i]:
-            yield from fill(i + 1, 0)
-            return
-        bound = k if i == 0 else rows[i - 1][j]
-        if j:
-            bound = min(bound, rows[i][j - 1])
-        for v in range(bound + 1):
-            rows[i][j] = v
-            yield from fill(i, j + 1)
+    def rows_under(cap: tuple[int, ...]) -> list[tuple[int, ...]]:
+        rows = lists.get(cap)
+        if rows is None:
+            rows = [(v,) for v in range(cap[0] + 1)]
+            for c in cap[1:]:
+                rows = [
+                    r + (v,) for r in rows for v in range(min(c, r[-1]) + 1)
+                ]
+            lists[cap] = rows
+        return rows
 
-    yield from fill(0, 0)
+    last = n - 2
+
+    def fill(i: int, prefix: tuple, cap: tuple) -> Iterator[PlanePartition]:
+        if i == last:
+            for row in rows_under(cap):
+                yield PlanePartition(n, k, prefix + (row,))
+            return
+        for row in rows_under(cap):
+            yield from fill(i + 1, prefix + (row,), row[:-1])
+
+    yield from fill(0, (), (k,) * (n - 1))
 
 
 def count_pp(n: int, k: int) -> int:
@@ -421,9 +476,14 @@ def _single_count(model: str, a: Point, e: Point) -> int:
     return comb(dx + dy, dx)
 
 
-def _require_model(model: str) -> None:
+def _check_endpoints(starts: list[Point], ends: list[Point], model: str):
     if model not in _ALPHABET:
         raise ValueError(f"unknown path model {model!r}")
+    if len(starts) != len(ends):
+        raise ValueError("start and end lists must have equal length")
+    for point in (*starts, *ends):
+        if len(point) != 2 or any(type(c) is not int for c in point):
+            raise TypeError(f"endpoints must be pairs of ints, got {point!r}")
 
 
 def lgv_count(starts: list[Point], ends: list[Point], model: str) -> int:
@@ -434,9 +494,7 @@ def lgv_count(starts: list[Point], ends: list[Point], model: str) -> int:
     identity pairing can avoid intersections, the determinant equals
     the number of vertex-disjoint families.
     """
-    _require_model(model)
-    if len(starts) != len(ends):
-        raise ValueError("start and end lists must have equal length")
+    _check_endpoints(starts, ends, model)
     if not starts:
         return 1
     matrix = [[_single_count(model, a, e) for e in ends] for a in starts]
@@ -500,9 +558,7 @@ def count_nonintersecting_brute(
     The product of the single-path counts bounds the search space; it
     must not exceed cap.
     """
-    _require_model(model)
-    if len(starts) != len(ends):
-        raise ValueError("start and end lists must have equal length")
+    _check_endpoints(starts, ends, model)
     if not starts:
         return 1
     singles = [_single_count(model, a, e) for a, e in zip(starts, ends)]

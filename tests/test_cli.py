@@ -1,12 +1,22 @@
 """End-to-end tests of the command line driver: parsing, output formats,
 determinism, and the composite verification suites."""
 
+import csv
+import io
 import json
 
 import pytest
 
+from shifted_hankel import __version__
 from shifted_hankel.cli import report_exit_code, run, run_suite
 from shifted_hankel.report import VerificationReport
+from shifted_hankel.staircase_combinatorics import (
+    enumerate_pp,
+    partition_to_text,
+    path_to_text,
+    pp_to_dyck,
+    pp_to_hv,
+)
 
 
 def invoke(capsys, *argv):
@@ -405,3 +415,123 @@ class TestPlumbing:
         assert report.passed
         with pytest.raises(ValueError, match="suite"):
             run_suite("bogus")
+
+
+def _csv_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+META = {"generator": "shifted-hankel", "version": __version__}
+
+
+class TestRenderingMatchesLibrary:
+    """Each format of the listing commands equals a rendering built here
+    from the enumerator and the encoders."""
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (3, 2), (4, 1)])
+    def test_enumerate_list_formats(self, capsys, n, k):
+        listed = [partition_to_text(p) for p in enumerate_pp(n, k)]
+        expected = {
+            "text": "\n".join(
+                [f"count: {len(listed)}"]
+                + [line if line else "(empty)" for line in listed]
+            )
+            + "\n",
+            "json": _json_text(
+                {
+                    "n": n,
+                    "k": k,
+                    "count": len(listed),
+                    "partitions": listed,
+                    "meta": META,
+                }
+            ),
+            "csv": _csv_text(
+                [["n", "k", "partition"]]
+                + [[str(n), str(k), line] for line in listed]
+            ),
+        }
+        for fmt, want in expected.items():
+            rc, out, _ = invoke(
+                capsys, "enumerate-pp", "--list", "--n", str(n), "--k", str(k),
+                "--format", fmt,
+            )
+            assert rc == 0
+            assert out == want, fmt
+
+    @pytest.mark.parametrize(
+        "which, n, k",
+        [("dyck", 3, 2), ("dyck", 3, 0), ("hv", 3, 2), ("hv", 1, 0)],
+    )
+    def test_bijection_formats(self, capsys, which, n, k):
+        encode = pp_to_dyck if which == "dyck" else pp_to_hv
+        cells = [
+            (
+                partition_to_text(p),
+                ";".join(path_to_text(path) for path in encode(p).paths),
+            )
+            for p in enumerate_pp(n, k)
+        ]
+        expected = {
+            "text": "".join(
+                f"{ptext or '(empty)'} -> {ftext or '(no paths)'} [ok]\n"
+                for ptext, ftext in cells
+            ),
+            "json": _json_text(
+                {
+                    "n": n,
+                    "k": k,
+                    "model": which,
+                    "cells": [
+                        {"partition": ptext, "image": ftext, "status": "ok"}
+                        for ptext, ftext in cells
+                    ],
+                    "meta": META,
+                }
+            ),
+            "csv": _csv_text(
+                [["n", "k", "model", "partition", "image", "status"]]
+                + [
+                    [str(n), str(k), which, ptext, ftext, "ok"]
+                    for ptext, ftext in cells
+                ]
+            ),
+        }
+        for fmt, want in expected.items():
+            rc, out, _ = invoke(
+                capsys, "bijection", "--which", which, "--n", str(n),
+                "--k", str(k), "--format", fmt,
+            )
+            assert rc == 0
+            assert out == want, fmt
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "--suite", "pp-count", "--n-max", "0"), "empty grid"),
+            (
+                ("verify", "--suite", "bijection-roundtrip", "--n-max", "0"),
+                "empty grid",
+            ),
+            (
+                ("verify", "--suite", "bijection-roundtrip", "--cap", "-5"),
+                "cap must be at least 0",
+            ),
+            (("verify", "--suite", "pp-count", "--cap", "1.5"), "cap"),
+        ],
+        ids=["pp-count-zero-cells", "bijection-zero-cells", "cap-negative",
+             "cap-not-integer"],
+    )
+    def test_exit_two_with_message(self, capsys, argv, message):
+        rc, out, err = invoke(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert message in err

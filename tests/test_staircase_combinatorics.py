@@ -1,6 +1,8 @@
 """Tests for staircase plane partitions, the two lattice-path encodings, and
 determinant versus brute-force counting."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -411,3 +413,242 @@ class TestBruteForce:
         starts, ends = dyck_endpoints(3, 3)
         with pytest.raises(ValueError, match="cap"):
             count_nonintersecting_brute(starts, ends, "dyck", cap=10)
+
+
+def _filtered_product(n, k):
+    """Row tuples of every staircase filling with entries in [0, k] that
+    decreases along rows and columns, in row-major lexicographic order."""
+    lengths = [n - 1 - i for i in range(n - 1)]
+    out = []
+    for values in itertools.product(range(k + 1), repeat=sum(lengths)):
+        rows, start = [], 0
+        for length in lengths:
+            rows.append(values[start : start + length])
+            start += length
+        if all(
+            (j == 0 or row[j - 1] >= v) and (i == 0 or rows[i - 1][j] >= v)
+            for i, row in enumerate(rows)
+            for j, v in enumerate(row)
+        ):
+            out.append(tuple(rows))
+    return out
+
+
+class TestRowWalkDifferential:
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in range(1, 5) for k in range(4)] + [(5, 0), (5, 1)],
+    )
+    def test_same_sequence_as_filtered_product(self, n, k):
+        walked = [p.rows for p in enumerate_pp(n, k)]
+        assert walked == _filtered_product(n, k)
+
+
+def _old_partition_check(n, k, rows):
+    """The entry-by-entry validation PlanePartition ran before its one-pass
+    acceptance, with the int checks on n, k and each entry added."""
+    for name, value in (("n", n), ("k", k)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+    if n < 1:
+        raise ValueError("order n must be at least 1")
+    if k < 0:
+        raise ValueError("bound k must be nonnegative")
+    expected = tuple(n - 1 - i for i in range(n - 1))
+    if tuple(len(row) for row in rows) != expected:
+        raise ValueError(f"shape mismatch: row lengths must be {expected}")
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if type(entry) is not int:
+                raise TypeError(
+                    f"entry {entry!r} at ({i + 1}, {j + 1}) is not an int"
+                )
+            if entry < 0:
+                raise ValueError(f"negative entry at ({i + 1}, {j + 1})")
+            if entry > k:
+                raise ValueError(
+                    f"entry {entry} at ({i + 1}, {j + 1}) exceeds the "
+                    f"bound {k}"
+                )
+            if j > 0 and entry > row[j - 1]:
+                raise ValueError(f"row {i + 1} is not weakly decreasing")
+            if i > 0 and entry > rows[i - 1][j]:
+                raise ValueError(f"column {j + 1} is not weakly decreasing")
+
+
+def _old_family_check(paths):
+    """The vertex-by-vertex disjointness check PathFamily ran before its
+    set-size acceptance."""
+    if len({p.model for p in paths}) > 1:
+        raise ValueError("all paths in a family must share one model")
+    seen = {}
+    for idx, path in enumerate(paths):
+        for v in path.vertices():
+            other = seen.get(v)
+            if other is not None and other != idx:
+                raise ValueError(f"paths {other} and {idx} share the vertex {v}")
+            seen[v] = idx
+
+
+def _outcome(build, *args):
+    try:
+        build(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+@st.composite
+def near_valid_fillings(draw):
+    p = draw(staircase_partitions(n_max=5, k_max=3))
+    n, k = p.n, p.k
+    rows = [list(row) for row in p.rows]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(
+            st.sampled_from(["entry", "order", "order", "shape", "n", "k"])
+        )
+        if kind == "order" and len(rows) >= 2 and all(rows):
+            # raise one entry above its left or upper neighbour
+            i = draw(st.integers(0, len(rows) - 2))
+            if draw(st.booleans()):
+                rows[i][-1] = rows[i][-2] + 1 if len(rows[i]) > 1 else -1
+            else:
+                rows[i + 1][0] = rows[i][0] + 1
+        elif kind == "entry" and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            if not rows[i]:
+                continue
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = draw(
+                st.one_of(
+                    st.sampled_from([rows[i][j] - 1, rows[i][j] + 1]),
+                    st.integers(-2, k + 2),
+                    st.just(float(rows[i][j])),
+                    st.floats(-1, k + 1, allow_nan=False),
+                    st.booleans(),
+                )
+            )
+        elif kind == "shape":
+            action = draw(st.sampled_from(["drop", "add", "shorten", "extend"]))
+            if action == "drop" and rows:
+                rows.pop(draw(st.integers(0, len(rows) - 1)))
+            elif action == "add":
+                rows.append([0] * draw(st.integers(0, 2)))
+            elif action == "shorten" and rows and rows[0]:
+                rows[0].pop()
+            elif action == "extend" and rows:
+                rows[-1].append(0)
+        elif kind == "n":
+            n = draw(st.sampled_from([n - 1, n + 1, 0, float(n), True]))
+        else:
+            k = draw(st.sampled_from([k - 1, k + 1, -1, float(k), True, False]))
+    if rows and len(rows[0]) >= 2 and draw(st.integers(0, 9)) == 0:
+        rows[0][-1] = "1"  # an entry that does not compare with ints
+    return n, k, tuple(tuple(row) for row in rows)
+
+
+@st.composite
+def dyck_words(draw, half_max=3):
+    ups = draw(st.integers(0, half_max))
+    word, height, ups_left = [], 0, ups
+    for _ in range(2 * ups):
+        if ups_left and (height == 0 or draw(st.booleans())):
+            word.append("U")
+            height += 1
+            ups_left -= 1
+        else:
+            word.append("D")
+            height -= 1
+    return tuple(word)
+
+
+@st.composite
+def path_lists(draw):
+    source = draw(st.sampled_from(["encoded", "shifted", "random"]))
+    if source != "random":
+        p = draw(staircase_partitions(n_max=4, k_max=3))
+        paths = list(draw(st.sampled_from([pp_to_dyck, pp_to_hv]))(p).paths)
+        if source == "shifted" and paths:
+            t = draw(st.integers(0, len(paths) - 1))
+            (x, y), path = paths[t].start, paths[t]
+            dx = draw(st.integers(-2, 2))
+            dy = 0 if path.model == "dyck" else draw(st.integers(-2, 2))
+            paths[t] = LatticePath((x + dx, y + dy), path.steps, path.model)
+        return paths
+    models = draw(st.sampled_from([("dyck",), ("hv",), ("dyck", "hv")]))
+    paths = []
+    for _ in range(draw(st.integers(0, 4))):
+        model = draw(st.sampled_from(models))
+        x = draw(st.integers(-3, 3))
+        if model == "dyck":
+            paths.append(LatticePath((x, 0), draw(dyck_words()), model))
+        else:
+            y = draw(st.integers(-2, 3))
+            steps = tuple(draw(st.lists(st.sampled_from("HV"), max_size=6)))
+            paths.append(LatticePath((x, y), steps, model))
+    return paths
+
+
+class TestValidationFastPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(filling=near_valid_fillings())
+    def test_partition_check_matches_entry_loop(self, filling):
+        assert _outcome(PlanePartition, *filling) == _outcome(
+            _old_partition_check, *filling
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(paths=path_lists())
+    def test_family_check_matches_vertex_loop(self, paths):
+        assert _outcome(PathFamily, tuple(paths)) == _outcome(
+            _old_family_check, paths
+        )
+
+    def test_touching_crossing_and_disjoint_families(self):
+        touching = (
+            LatticePath((0, 0), ("U", "D"), "dyck"),
+            LatticePath((2, 0), ("U", "D"), "dyck"),
+        )
+        crossing = (
+            LatticePath((-1, 2), ("H", "V", "V", "H"), "hv"),
+            LatticePath((-1, 1), ("V", "H", "H"), "hv"),
+        )
+        disjoint = pp_to_hv(STAIR_EXAMPLE).paths
+        for paths in (touching, crossing, disjoint):
+            assert _outcome(PathFamily, paths) == _outcome(
+                _old_family_check, paths
+            )
+        assert "share the vertex (2, 0)" in _outcome(PathFamily, touching)[1]
+        assert _outcome(PathFamily, crossing)[0] is ValueError
+        assert _outcome(PathFamily, disjoint) == "accepted"
+
+
+class TestExactEntryPoints:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: PlanePartition(2, 1, ((0.5,),)),
+            lambda: PlanePartition(2, True, ((True,),)),
+            lambda: PlanePartition(2.0, 1, ((1,),)),
+            lambda: enumerate_pp(3, 1.5),
+            lambda: enumerate_pp(True, 1),
+            lambda: lgv_count([(0.5, 0)], [(2, 0)], "dyck"),
+            lambda: lgv_count([(0, 0)], [(2, True)], "dyck"),
+            lambda: count_nonintersecting_brute([(0, 0)], [(2.0, 0)], "dyck"),
+            lambda: count_nonintersecting_brute([(0, 0, 0)], [(2, 0)], "hv"),
+        ],
+        ids=[
+            "float-entry",
+            "bool-bound-and-entry",
+            "float-order",
+            "enumerate-float-bound",
+            "enumerate-bool-order",
+            "lgv-float-start",
+            "lgv-bool-end",
+            "brute-float-end",
+            "brute-triple",
+        ],
+    )
+    def test_inexact_input_raises_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
