@@ -23,11 +23,11 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__
-from .exact_core import B, Poly, series_mul
+from .exact_core import B, Poly, _as_fraction, series_mul
 from .hankel_identities import (
     PolyFamily,
     condensation_check,
-    hankel_det,
+    hankel_row,
     theorem10_check,
     verify_theorem,
 )
@@ -240,7 +240,7 @@ _FINE_ANCHOR = (1, 0, 1, 2, 6, 18, 57, 186)
 
 def _suite_gf(order: int, b_values) -> VerificationReport:
     if b_values:
-        params = tuple(Fraction(v) for v in b_values)
+        params = tuple(_as_fraction(v) for v in b_values)
     else:
         params = (Fraction(-1), Fraction(2), Fraction(3))
     report = VerificationReport(
@@ -418,6 +418,8 @@ def run_suite(
     """Run one verification suite by tag and return its report."""
     if tag in _LIBRARY_SUITES:
         return verify_theorem(tag, n_max=n_max, k_max=k_max, b_values=b_values)
+    if b_values is not None and tag != "gf":
+        raise ValueError(f"suite {tag} does not take b values")
     if tag == "th10":
         return theorem10_check(
             8 if n_max is None else n_max, 6 if k_max is None else k_max
@@ -631,7 +633,7 @@ def _cmd_hankel(args) -> int:
     seq = _sequence_from_args(args)
     ns = range(args.n[0], args.n[1] + 1)
     ks = range(args.k[0], args.k[1] + 1)
-    table = [[_render_value(hankel_det(seq, n, k)) for k in ks] for n in ns]
+    table = [[_render_value(v) for v in hankel_row(seq, n, ks)] for n in ns]
     b_text = None if args.b is None else str(args.b)
     _write(
         args,

@@ -30,9 +30,28 @@ Scalar = Union[int, Fraction]
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"exact scalar required, got {type(value).__name__}")
+
+
+class IndexTypeError(TypeError, ValueError):
+    """An index that is not an int, a bool included.
+
+    Also a ValueError: the Hankel entry points have always refused a bool
+    index with ValueError, and the moment routes refuse a float with
+    TypeError; one check serves both."""
+
+
+def _check_index(name: str, value) -> None:
+    # a function that memoizes on the index and checks it inside caches with
+    # typed=True, so a cached int never answers for the equal bool
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise IndexTypeError(
+            f"{name} must be a nonnegative integer, got {type(value).__name__}"
+        )
+    if value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 class Poly:
@@ -110,7 +129,7 @@ class Poly:
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return Poly.const(other)
         return None
 
@@ -171,6 +190,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        if isinstance(exponent, bool):
+            raise TypeError("exponent must be an integer, got bool")
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Poly.const(1)

@@ -15,7 +15,16 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .exact_core import B, Poly, PowerSeries, X, series_mul, series_reciprocal
+from .exact_core import (
+    B,
+    Poly,
+    PowerSeries,
+    X,
+    _as_fraction,
+    _check_index,
+    series_mul,
+    series_reciprocal,
+)
 from .report import VerificationReport
 
 __all__ = [
@@ -82,7 +91,7 @@ class JacobiSpec:
         return self.s.is_numeric() and self.t.is_numeric()
 
     def specialize(self, b_value) -> "JacobiSpec":
-        b_value = Fraction(b_value) if not isinstance(b_value, Fraction) else b_value
+        b_value = _as_fraction(b_value)
 
         def sub(seq: ParamSeq) -> ParamSeq:
             return ParamSeq(
@@ -138,8 +147,7 @@ def _ortho_chain(spec: JacobiSpec, n: int) -> Poly:
 
 def ortho_poly(spec: JacobiSpec, n: int) -> Poly:
     """Monic orthogonal polynomial p_n of the family given by spec."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_index("n", n)
     return _ortho_chain(spec, n)
 
 
@@ -163,8 +171,7 @@ def expansion_coeffs(spec: JacobiSpec, n: int) -> list:
 
     Rational values for numeric specs, polynomials in b otherwise.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_index("n", n)
     row = _expansion_row(spec, n)
     if spec.is_numeric:
         return [p.constant() for p in row]
@@ -269,8 +276,7 @@ def sequence_term(family: str, n: int, b=None) -> Union[Fraction, Poly]:
     """Closed-form term of one of the catalogued moment sequences."""
     if family not in SEQUENCE_FAMILIES:
         raise ValueError(f"unknown sequence family {family!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_index("n", n)
     if family == "catalan":
         return Fraction(comb(2 * n, n), n + 1)
     if family == "shifted_catalan":
@@ -297,7 +303,7 @@ def sequence_term(family: str, n: int, b=None) -> Union[Fraction, Poly]:
 def _pow(b, e: int):
     if isinstance(b, Poly):
         return b**e
-    return Fraction(b) ** e
+    return _as_fraction(b) ** e
 
 
 def _collapse(value, b):
@@ -340,7 +346,8 @@ class MomentSequence:
         return not isinstance(self.b, Poly)
 
 
-@lru_cache(maxsize=None)
+# typed, so a cached int term never answers for the equal bool index
+@lru_cache(maxsize=None, typed=True)
 def _sequence_term_cached(seq: MomentSequence, n: int):
     if seq.family == "jacobi":
         return moment(seq.spec, n)
@@ -458,7 +465,7 @@ def gf_coeffs(family: str, order: int, b=None) -> PowerSeries:
     if family == "Bb":
         if b is None:
             raise ValueError("family 'Bb' requires the parameter b")
-        bf = Fraction(b)
+        bf = _as_fraction(b)
         c = gf_coeffs("catalan", order)
         xc = PowerSeries((Fraction(0),) + c.coeffs[: order - 1])
         one = PowerSeries([Fraction(1)] + [Fraction(0)] * (order - 1))

@@ -535,3 +535,47 @@ class TestRefusals:
         assert rc == 2
         assert out == ""
         assert message in err
+
+
+class TestRefusedSuiteInputs:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ("verify", "--suite", "th1", "--b", "1"), "does not take b",
+                id="th1-b",
+            ),
+            pytest.param(
+                ("verify", "--suite", "cor7", "--b", "2"), "does not take b",
+                id="cor7-b",
+            ),
+            pytest.param(
+                ("verify", "--suite", "th10", "--b", "1"), "does not take b",
+                id="th10-b",
+            ),
+            pytest.param(
+                ("verify", "--suite", "eq1_6", "--n-max", "0"), "empty grid",
+                id="eq1_6-zero-cells",
+            ),
+            pytest.param(
+                ("verify", "--suite", "cor7", "--k-max", "0"), "empty grid",
+                id="cor7-zero-cells",
+            ),
+        ],
+    )
+    def test_exit_two_with_message(self, capsys, argv, message):
+        rc, out, err = invoke(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert message in err
+
+    def test_suites_that_read_b_still_take_it(self, capsys):
+        for suite in ("th4", "gf"):
+            rc, _, _ = invoke(
+                capsys, "verify", "--suite", suite, "--n-max", "2", "--b", "3"
+            )
+            assert rc == 0, suite
+
+    def test_float_b_is_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            run_suite("gf", n_max=2, b_values=[0.5])

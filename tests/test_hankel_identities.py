@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shifted_hankel import exact_core, hankel_identities
-from shifted_hankel.exact_core import B, Poly, X, binom_poly, det_exact
+from shifted_hankel.cli import run
+from shifted_hankel.exact_core import (
+    B,
+    IndexTypeError,
+    Poly,
+    X,
+    binom_poly,
+    det_exact,
+)
 from shifted_hankel.hankel_identities import (
     INDETERMINATE_RATIO,
     HankelTable,
@@ -21,6 +29,7 @@ from shifted_hankel.hankel_identities import (
     first_hankels_from_jacobi,
     h_poly,
     hankel_det,
+    hankel_row,
     normalized_shifted,
     product_poly_H,
     product_poly_H2,
@@ -30,8 +39,11 @@ from shifted_hankel.hankel_identities import (
 from shifted_hankel.ortho_moments import (
     MomentSequence,
     f_spec,
+    gf_coeffs,
     lemma8_spec,
     lucas_spec,
+    moment,
+    ortho_poly,
     sequence_term,
 )
 from shifted_hankel.report import FAIL, PASS, VerificationReport, render_b
@@ -198,6 +210,93 @@ class TestRowFill:
         for k in range(17):
             table.value(5, k)
         assert pass_orders == [2, 4, 8, 16]
+
+
+ROW_KS = st.lists(st.integers(0, 8), max_size=9)
+
+
+class TestHankelRow:
+    """A row scan fills its row once, at the widest cell asked for."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        terms=st.one_of(
+            st.lists(st.integers(-2, 2), min_size=30, max_size=30),
+            st.lists(
+                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=30,
+                max_size=30,
+            ),
+        ),
+        rows=st.lists(st.tuples(st.integers(0, 4), ROW_KS), max_size=4),
+    )
+    def test_random_sequences_match_per_cell(self, terms, rows):
+        seq = ListedSequence(terms)
+        for n, ks in rows:
+            assert hankel_row(seq, n, ks) == [per_cell(seq, n, k) for k in ks]
+
+    @settings(max_examples=20, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 4), ROW_KS), max_size=4))
+    def test_degenerate_sequence_matches_per_cell(self, rows):
+        # a fresh source for each example, so every scan starts a new table
+        seq = ListedSequence([mcap(F(2)).term(i) for i in range(30)])
+        for n, ks in rows:
+            assert hankel_row(seq, n, ks) == [per_cell(seq, n, k) for k in ks]
+
+    def test_row_scan_runs_one_pass_of_its_width(self, pass_orders, monkeypatch):
+        monkeypatch.setattr(hankel_identities, "_TABLES", {})
+        row = hankel_row(CATALAN, 5, range(17))
+        assert pass_orders == [16]
+        assert row == [per_cell(CATALAN, 5, k) for k in range(17)]
+
+    def test_verify_scans_rows_at_the_grid_width(self, pass_orders, monkeypatch):
+        monkeypatch.setattr(hankel_identities, "_TABLES", {})
+        assert verify_theorem("th1", n_max=6, k_max=12).passed
+        assert pass_orders == [12] * 7
+
+    @pytest.mark.parametrize(
+        "suite, width",
+        [
+            pytest.param(lambda: theorem10_check(4, 9), 9, id="theorem10"),
+            pytest.param(lambda: verify_theorem("eq1_6", 4, 9), 9, id="eq1_6"),
+            pytest.param(
+                lambda: verify_theorem("th4", 3, 7, b_values=[F(3)]), 7, id="th4"
+            ),
+            pytest.param(lambda: verify_theorem("cor7", 2, 5), 5, id="cor7"),
+        ],
+    )
+    def test_suites_scan_rows_at_the_grid_width(
+        self, pass_orders, monkeypatch, suite, width
+    ):
+        monkeypatch.setattr(hankel_identities, "_TABLES", {})
+        assert suite().passed
+        assert pass_orders and set(pass_orders) == {width}
+
+    def test_cli_table_scans_rows_at_its_width(self, pass_orders, monkeypatch):
+        monkeypatch.setattr(hankel_identities, "_TABLES", {})
+        argv = ["hankel", "--family", "central", "--n", "0..3", "--k", "0..9"]
+        assert run(argv) == 0
+        assert pass_orders == [9] * 4
+
+    def test_empty_scan_is_an_empty_row(self):
+        assert hankel_row(CATALAN, 3, []) == []
+
+    @pytest.mark.parametrize(
+        "n, ks",
+        [
+            pytest.param(-1, [2], id="n-negative"),
+            pytest.param(True, [2], id="n-bool"),
+            pytest.param(2, [3, -1], id="k-negative"),
+            pytest.param(2, [3, True], id="k-bool"),
+        ],
+    )
+    def test_invalid_index_is_refused_before_any_pass(
+        self, pass_orders, monkeypatch, n, ks
+    ):
+        monkeypatch.setattr(hankel_identities, "_TABLES", {})
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            hankel_row(MomentSequence("catalan"), n, ks)
+        assert pass_orders == []
 
 
 @pytest.mark.parametrize(
@@ -639,3 +738,103 @@ class TestReportMechanics:
         report = VerificationReport(suite="demo", grid={})
         report.add(n=0, status=PASS, lhs="x", rhs="x")
         assert report.cells[0].status == PASS
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # a grid with no cells must not read as PASS
+        pytest.param(
+            lambda: verify_theorem("th1", n_max=-1), ValueError, "empty grid",
+            id="th1-empty-grid",
+        ),
+        pytest.param(
+            lambda: verify_theorem("eq1_6", n_max=0), ValueError, "empty grid",
+            id="eq1_6-empty-grid",
+        ),
+        pytest.param(
+            lambda: theorem10_check(-1, -1), ValueError, "empty grid",
+            id="theorem10-empty-grid",
+        ),
+        pytest.param(
+            lambda: condensation_check("H", -1), ValueError, "empty grid",
+            id="condensation-empty-grid",
+        ),
+        # floats never reach Fraction()
+        pytest.param(
+            lambda: MomentSequence("Mb", b=0.1).term(2), TypeError, "float",
+            id="Mb-float-parameter",
+        ),
+        pytest.param(
+            lambda: verify_theorem("th4", b_values=[0.5]), TypeError, "float",
+            id="th4-float-b",
+        ),
+        pytest.param(
+            lambda: ortho_poly(f_spec(), 2.0), TypeError, "float",
+            id="ortho_poly-float-index",
+        ),
+        pytest.param(
+            lambda: moment(f_spec(), 2.0), TypeError, "float", id="moment-float-index"
+        ),
+        pytest.param(
+            lambda: lemma8_spec().specialize(0.5), TypeError, "float",
+            id="specialize-float",
+        ),
+        pytest.param(
+            lambda: gf_coeffs("Bb", 4, b=0.5), TypeError, "float",
+            id="gf_coeffs-float-b",
+        ),
+        pytest.param(
+            lambda: normalized_shifted("Mcap", 0.5, 1, 1), TypeError, "float",
+            id="normalized_shifted-float-b",
+        ),
+        # bool is not a number
+        pytest.param(
+            lambda: det_exact([[True, 0], [0, True]]), TypeError, "bool",
+            id="det_exact-bool-entries",
+        ),
+        pytest.param(lambda: X**True, TypeError, "bool", id="poly-bool-exponent"),
+        pytest.param(
+            lambda: ortho_poly(f_spec(), True), TypeError, "bool",
+            id="ortho_poly-bool-index",
+        ),
+        pytest.param(
+            lambda: CATALAN.term(True), TypeError, "bool", id="term-bool-index"
+        ),
+        # a suite that does not read b refuses b values
+        *(
+            pytest.param(
+                lambda tag=tag: verify_theorem(tag, n_max=2, b_values=[F(1)]),
+                ValueError,
+                "does not take b",
+                id=f"{tag}-refuses-b",
+            )
+            for tag in (
+                "th1", "th2", "th5", "cor7", "lemma8", "eq1_6",
+                "h1_equals_h0_shift",
+            )
+        ),
+    ],
+)
+def test_library_refuses_inexact_or_empty_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("index", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda i: hankel_det(CATALAN, i, 2), id="hankel_det"),
+        pytest.param(lambda i: hankel_row(CATALAN, 2, [i]), id="hankel_row"),
+        pytest.param(lambda i: product_poly_H(i), id="product_poly_H"),
+        pytest.param(lambda i: ortho_poly(f_spec(), i), id="ortho_poly"),
+        pytest.param(lambda i: moment(f_spec(), i), id="moment"),
+        pytest.param(lambda i: CATALAN.term(i), id="term"),
+    ],
+)
+def test_non_int_index_raises_one_exception_everywhere(call, index):
+    # one check for both modules: a TypeError that is also the ValueError
+    # the Hankel entry points have always raised for a bool index
+    with pytest.raises(IndexTypeError, match="nonnegative integer"):
+        call(index)
