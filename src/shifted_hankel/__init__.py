@@ -5,6 +5,9 @@ coefficients, and every determinant identity is verified by computing both
 sides independently. No floating point enters any computation.
 """
 
+import sys
+
+from . import hankel_identities, ortho_moments
 from .exact_core import (
     B,
     Poly,
@@ -79,6 +82,21 @@ from .staircase_combinatorics import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every memo the package keeps: the lru_cache of each loaded
+    module, the Hankel tables, and the record of which recurrence rows are
+    filled. Later calls recompute what they need, and each cache_info()
+    counts from zero again."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    hankel_identities._TABLES.clear()
+    ortho_moments._FILLED.clear()
+
+
 __all__ = [
     "B",
     "HankelTable",
@@ -97,6 +115,7 @@ __all__ = [
     "VerificationReport",
     "X",
     "binom_poly",
+    "clear_caches",
     "condensation_check",
     "condensation_reconstruct",
     "count_nonintersecting_brute",

@@ -88,6 +88,11 @@ class Poly:
         p._slices = None
         return p
 
+    @classmethod
+    def _over(cls, numerators: dict, den: int) -> "Poly":
+        # integer numerators over one denominator, one Fraction per term
+        return cls._raw({key: Fraction(v, den) for key, v in numerators.items() if v})
+
     # -- queries ---------------------------------------------------------
 
     @property
@@ -171,14 +176,7 @@ class Poly:
         # Fraction per result coefficient, not one per term pair
         da, terms_a = self._numerators()
         db, terms_b = other._numerators()
-        out: dict = {}
-        get = out.get
-        for (xa, ba), va in terms_a:
-            for (xb, bb), vb in terms_b:
-                key = (xa + xb, ba + bb)
-                out[key] = get(key, 0) + va * vb
-        den = da * db
-        return Poly._raw({key: Fraction(v, den) for key, v in out.items() if v})
+        return Poly._over(_int_product(terms_a, terms_b), da * db)
 
     def _numerators(self):
         # lcm(*list), not lcm(*generator): a generator's argument tuple is
@@ -295,8 +293,28 @@ class Poly:
         return slices
 
     def shift_x(self, beta) -> "Poly":
-        """x -> x + beta for an exact scalar beta."""
-        return self._subs_var(0, _X + _as_fraction(beta))
+        """x -> x + beta for an exact scalar beta.
+
+        For beta = p/q, each b-slice f with top degree n becomes the integer
+        polynomial h(x) = q^n * f(x/q) (times the slice's denominator), which
+        is Taylor-shifted by p in integers; then f(x + beta) = h(qx + p)/q^n.
+        """
+        beta = _as_fraction(beta)
+        p, q = beta.numerator, beta.denominator
+        out = {}
+        for db, den, coeffs in self._int_slices(0):
+            top = len(coeffs) - 1
+            # h in descending powers of x: coeffs[i] is the x^(top-i) term
+            h = [v * q**i for i, v in enumerate(coeffs)]
+            if p:
+                # repeated synthetic division by (x - p): h(x) -> h(x + p)
+                for end in range(top, 0, -1):
+                    for i in range(1, end + 1):
+                        h[i] += p * h[i - 1]
+            for i, v in enumerate(h):
+                if v:
+                    out[(top - i, db)] = Fraction(v, den * q**i)
+        return Poly._raw(out)
 
     def compress_even_x(self) -> "Poly":
         """x^(2i) -> x^i; error if any odd-degree-in-x term is present."""
@@ -362,8 +380,7 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-_X = Poly({(1, 0): 1})
-X = _X
+X = Poly({(1, 0): 1})
 B = Poly({(0, 1): 1})
 
 
@@ -435,16 +452,36 @@ def _frac_div_exact_b(num: dict, den: dict):
     return quotient
 
 
+def _int_product(terms_a, terms_b) -> dict:
+    """Product of two polynomials given as ((x_degree, b_degree), integer)
+    pairs, as a map to integer coefficients; zero sums are kept."""
+    out: dict = {}
+    get = out.get
+    for (xa, ba), va in terms_a:
+        for (xb, bb), vb in terms_b:
+            key = (xa + xb, ba + bb)
+            out[key] = get(key, 0) + va * vb
+    return out
+
+
 def binom_poly(argument, r: int) -> Poly:
     """Binomial coefficient C(argument, r) as a polynomial: the falling
-    factorial argument*(argument-1)*...*(argument-r+1) divided by r!."""
+    factorial argument*(argument-1)*...*(argument-r+1) divided by r!.
+
+    The factors d*argument - d*t are multiplied in integers, d the common
+    denominator of the argument's coefficients, and divided by d^r * r!
+    once at the end."""
     if not isinstance(r, int) or r < 0:
         raise ValueError("r must be a nonnegative integer")
     arg = argument if isinstance(argument, Poly) else Poly.const(argument)
-    prod = Poly.const(1)
+    d, terms = arg._numerators()
+    constant = dict(terms).get((0, 0), 0)
+    rest = [(key, v) for key, v in terms if key != (0, 0)]
+    product = {(0, 0): 1}
     for t in range(r):
-        prod = prod * (arg - t)
-    return prod * Fraction(1, factorial(r))
+        c = constant - d * t
+        product = _int_product(product.items(), rest + [((0, 0), c)] if c else rest)
+    return Poly._over(product, d**r * factorial(r))
 
 
 # ---------------------------------------------------------------------------

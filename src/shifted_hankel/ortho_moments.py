@@ -134,6 +134,23 @@ def lucas_spec() -> JacobiSpec:
     return JacobiSpec(param_seq([], 0), param_seq([2], 1))
 
 
+# (cached row function, key) -> the n up to which its cache holds every row
+_FILLED: dict = {}
+
+
+def _bottom_up(row_fn, key, n: int):
+    """row_fn(key, n) for a memoized recurrence in n, after filling the
+    rows from the highest one filled so far up to n - 1 in order: each
+    row then finds its predecessors cached and recurses one level, where
+    a cold row_fn(key, 600) would recurse 600 levels deep."""
+    top = _FILLED.get((row_fn, key), -1)
+    if n > top:
+        for m in range(top + 1, n):
+            row_fn(key, m)
+        _FILLED[(row_fn, key)] = n
+    return row_fn(key, n)
+
+
 @lru_cache(maxsize=None)
 def _ortho_chain(spec: JacobiSpec, n: int) -> Poly:
     if n == 0:
@@ -148,7 +165,7 @@ def _ortho_chain(spec: JacobiSpec, n: int) -> Poly:
 def ortho_poly(spec: JacobiSpec, n: int) -> Poly:
     """Monic orthogonal polynomial p_n of the family given by spec."""
     _check_index("n", n)
-    return _ortho_chain(spec, n)
+    return _bottom_up(_ortho_chain, spec, n)
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +189,7 @@ def expansion_coeffs(spec: JacobiSpec, n: int) -> list:
     Rational values for numeric specs, polynomials in b otherwise.
     """
     _check_index("n", n)
-    row = _expansion_row(spec, n)
+    row = _bottom_up(_expansion_row, spec, n)
     if spec.is_numeric:
         return [p.constant() for p in row]
     return list(row)
@@ -358,7 +375,8 @@ def _sequence_term_cached(seq: MomentSequence, n: int):
 # number triangles
 
 
-@lru_cache(maxsize=None)
+# typed, so a cached int row never answers for the equal bool index
+@lru_cache(maxsize=None, typed=True)
 def _triangle_row(tag: str, n: int) -> tuple:
     if tag == "catalan_triangle":
         if n == 0:
@@ -392,8 +410,6 @@ def _triangle_row(tag: str, n: int) -> tuple:
 
 
 def _triangle_support(tag: str, n: int, k: int) -> bool:
-    if n < 0 or k < 0:
-        return False
     if tag == "angle_brackets":
         return 2 * k <= n
     return k <= n
@@ -416,10 +432,12 @@ def triangle_entry(tag: str, n: int, k: int) -> int:
     defining recurrence; both routes must agree."""
     if tag not in TRIANGLE_TAGS:
         raise ValueError(f"unknown triangle {tag!r}")
+    _check_index("n", n)
+    _check_index("k", k)
     if not _triangle_support(tag, n, k):
         raise ValueError(f"({n}, {k}) outside the support of {tag}")
     closed = _triangle_closed(tag, n, k)
-    recurrent = _triangle_row(tag, n)[k]
+    recurrent = _bottom_up(_triangle_row, tag, n)[k]
     if closed != recurrent:
         raise ArithmeticError(f"triangle routes disagree at {tag}({n}, {k})")
     return closed
@@ -450,6 +468,7 @@ class TriangleSpec:
 def gf_coeffs(family: str, order: int, b=None) -> PowerSeries:
     """Truncated generating function: 'catalan' for the Catalan series C, or
     'Bb' for C/(1 - b*x*C) with a numeric parameter b."""
+    _check_index("order", order)
     if order < 1:
         raise ValueError("order must be at least 1")
     if family == "catalan":

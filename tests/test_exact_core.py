@@ -17,6 +17,7 @@ from shifted_hankel.exact_core import (
     series_mul,
     series_reciprocal,
 )
+from shifted_hankel.hankel_identities import det_poly_Hb
 
 
 def laplace_det(rows):
@@ -465,3 +466,88 @@ class TestPowerSeries:
         s = PowerSeries(coeffs)
         identity = [F(1)] + [F(0)] * (len(coeffs) - 1)
         assert series_mul(s, series_reciprocal(s)) == PowerSeries(identity)
+
+
+# polynomials with rational coefficients, the zero polynomial and constants
+# among them, and exact shifts: integers, fractions and 0
+shift_polys = st.one_of(
+    poly_coeffs,
+    st.dictionaries(st.just((0, 0)), st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+).map(Poly)
+shifts = st.one_of(
+    st.just(0),
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+)
+
+
+class TestIntegerShift:
+    @given(shift_polys, shifts)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_substituting_x_plus_beta(self, p, beta):
+        # subs with a Poly value runs Horner with Poly products, a route
+        # shift_x no longer shares
+        assert p.shift_x(beta) == p.subs(x=X + beta)
+
+    @given(shift_polys, shifts, shifts)
+    @settings(max_examples=60, deadline=None)
+    def test_shifts_compose(self, p, a, c):
+        assert p.shift_x(a).shift_x(c) == p.shift_x(a + c)
+
+    def test_zero_and_constants(self):
+        assert Poly.const(0).shift_x(F(-1, 2)).is_zero
+        assert Poly.const(F(7, 3)).shift_x(5) == Poly.const(F(7, 3))
+        assert (B * F(2, 9)).shift_x(F(1, 3)) == B * F(2, 9)
+
+    def test_rejects_inexact_shifts(self):
+        with pytest.raises(TypeError):
+            X.shift_x(0.5)
+        with pytest.raises(TypeError):
+            X.shift_x(True)
+
+
+binom_arguments = st.one_of(
+    st.just(0),
+    st.integers(min_value=-5, max_value=9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.tuples(st.sampled_from([X, B, X + B]), small_ints, small_fractions).map(
+        lambda t: t[0] * t[1] + t[2]
+    ),
+    poly_coeffs.map(Poly),
+)
+
+
+class TestBinomPolyDifferential:
+    @given(binom_arguments, st.integers(min_value=0, max_value=8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_product_of_poly_factors(self, argument, r):
+        arg = argument if isinstance(argument, Poly) else Poly.const(argument)
+        falling = Poly.const(1)
+        for t in range(r):
+            falling = falling * (arg - t)
+        assert binom_poly(argument, r) == falling * F(1, math.factorial(r))
+
+
+class TestIntegerRoutesMakeNoPolyProducts:
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        original = Poly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        monkeypatch.setattr(Poly, "__rmul__", counted)
+        return calls
+
+    def test_binom_poly(self, products):
+        assert binom_poly(X + 5, 12).subs(x=10).constant() == math.comb(15, 12)
+        assert products == []
+
+    def test_half_shift(self, products):
+        hb = det_poly_Hb(6)
+        products.clear()
+        hb.shift_x(F(-1, 2))
+        assert products == []

@@ -1,6 +1,9 @@
 """Tests for the shifted determinant tables, the closed-form determinant
 polynomials, condensation, and the identity suites."""
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction as F
 from math import prod
 
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shifted_hankel import exact_core, hankel_identities
+import shifted_hankel
+from shifted_hankel import clear_caches, exact_core, hankel_identities
 from shifted_hankel.cli import run
 from shifted_hankel.exact_core import (
     B,
@@ -45,8 +49,10 @@ from shifted_hankel.ortho_moments import (
     moment,
     ortho_poly,
     sequence_term,
+    triangle_entry,
 )
 from shifted_hankel.report import FAIL, PASS, VerificationReport, render_b
+from shifted_hankel.staircase_combinatorics import dyck_endpoints, lgv_count
 
 CATALAN = MomentSequence("catalan")
 MIDDLE = MomentSequence("middle")
@@ -838,3 +844,29 @@ def test_non_int_index_raises_one_exception_everywhere(call, index):
     # the Hankel entry points have always raised for a bool index
     with pytest.raises(IndexTypeError, match="nonnegative integer"):
         call(index)
+
+
+def test_clear_caches_empties_every_memo():
+    # fill the Hankel tables and a cache in each module that keeps one
+    cell = hankel_det(CATALAN, 2, 3)
+    assert verify_theorem("th5", n_max=2).cells
+    assert lgv_count(*dyck_endpoints(2, 2), model="dyck") == hankel_det(CATALAN, 2, 2)
+    assert triangle_entry("catalan_triangle", 4, 2) == 9
+    caches = []
+    for info in pkgutil.iter_modules(shifted_hankel.__path__):
+        module = importlib.import_module(f"shifted_hankel.{info.name}")
+        found = [
+            v for v in vars(module).values()
+            if hasattr(v, "cache_info") and v.__module__ == module.__name__
+        ]
+        # every decorated function of the module, found by its source
+        assert len(found) == inspect.getsource(module).count("@lru_cache(")
+        caches.extend(found)
+    assert hankel_identities._TABLES
+    assert any(cache.cache_info().currsize for cache in caches)
+    clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+    assert hankel_identities._TABLES == {}
+    # the memos refill on demand with the same values
+    assert hankel_det(CATALAN, 2, 3) == cell
+    assert triangle_entry("catalan_triangle", 4, 2) == 9

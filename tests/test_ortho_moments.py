@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 from math import comb
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shifted_hankel.exact_core import B, Poly, PowerSeries, X
+from shifted_hankel import clear_caches
+from shifted_hankel.exact_core import B, IndexTypeError, Poly, PowerSeries, X
 from shifted_hankel.ortho_moments import (
     MomentSequence,
     TriangleSpec,
@@ -304,3 +306,67 @@ class TestJacobiSpec:
         # s = 0, t = 1 everywhere gives the aerated Catalan numbers
         spec = JacobiSpec(param_seq([], 0), param_seq([], 1))
         assert [moment(spec, n) for n in range(7)] == [1, 0, 1, 0, 2, 0, 5]
+
+
+@pytest.mark.parametrize("index", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda i: triangle_entry("catalan_triangle", i, 0), id="triangle-n"),
+        pytest.param(lambda i: triangle_entry("catalan_triangle", 1, i), id="triangle-k"),
+        pytest.param(lambda i: gf_coeffs("catalan", i), id="gf_coeffs-order"),
+    ],
+)
+def test_triangles_and_series_refuse_non_int_index(call, index):
+    call(1)  # a cached int row must not answer for the equal bool
+    with pytest.raises(IndexTypeError, match="nonnegative integer"):
+        call(index)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDeepIndicesOnFreshCaches:
+    """The memoized recurrences fill bottom-up, so a deep first call does
+    not recurse once per index."""
+
+    def test_catalan_triangle_600(self):
+        clear_caches()
+        assert triangle_entry("catalan_triangle", 600, 0) == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: ortho_poly(f_spec(), 150), id="ortho_poly"),
+            pytest.param(lambda: moment(f_spec(), 150), id="moment"),
+            *(
+                pytest.param(lambda tag=tag: triangle_entry(tag, 150, 2), id=tag)
+                for tag in ("catalan_triangle", "angle_brackets", "a046899")
+            ),
+        ],
+    )
+    def test_stack_does_not_grow_with_the_index(self, call):
+        # 120 frames to spare: a fill that recursed once per index ran out
+        clear_caches()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 120)
+        try:
+            call()
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_values_match_the_recurrence_in_any_query_order(self):
+        spec = lemma8_spec()
+        chain = [Poly.const(1), X - spec.s.at(0)]
+        for n in range(2, 41):
+            chain.append((X - spec.s.at(n - 1)) * chain[-1] - spec.t.at(n - 2) * chain[-2])
+        clear_caches()
+        for n in (25, 3, 40, 0, 26, 39):
+            assert ortho_poly(spec, n) == chain[n]
+        # the moments of f_spec are the Catalan numbers
+        for n in (12, 4, 13, 0):
+            assert moment(f_spec(), n) == sequence_term("catalan", n)
