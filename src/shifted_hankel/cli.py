@@ -680,7 +680,18 @@ def _cmd_enumerate_pp(args) -> int:
     n, k = args.n, args.k
     listed = []
     if args.list:
-        listed = [partition_to_text(p) for p in enumerate_pp(n, k)]
+        # the partition_to_text format, with each distinct row rendered once
+        row_text: dict = {}
+
+        def text(row: tuple) -> str:
+            out = row_text.get(row)
+            if out is None:
+                out = row_text[row] = ",".join(map(str, row))
+            return out
+
+        listed = [
+            ";".join([text(row) for row in p.rows]) for p in enumerate_pp(n, k)
+        ]
     count = len(listed) if args.list else count_pp(n, k)
     listing = {"partitions": listed} if args.list else {}
     _write(

@@ -471,8 +471,7 @@ def binom_poly(argument, r: int) -> Poly:
     The factors d*argument - d*t are multiplied in integers, d the common
     denominator of the argument's coefficients, and divided by d^r * r!
     once at the end."""
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("r must be a nonnegative integer")
+    _check_index("r", r)
     arg = argument if isinstance(argument, Poly) else Poly.const(argument)
     d, terms = arg._numerators()
     constant = dict(terms).get((0, 0), 0)

@@ -26,7 +26,7 @@ from .exact_core import (
     leading_minors,
 )
 from .ortho_moments import JacobiSpec, MomentSequence, moment, ortho_poly, sequence_term
-from .report import VerificationReport
+from .report import VerificationReport, _nonempty
 
 __all__ = [
     "HankelTable",
@@ -58,13 +58,6 @@ class _IndeterminateRatio:
 
 
 INDETERMINATE_RATIO = _IndeterminateRatio()
-
-
-def _nonempty(report: VerificationReport) -> VerificationReport:
-    # a grid with no cells checks nothing, and an empty report reads as PASS
-    if not report.cells:
-        raise ValueError(f"suite {report.suite} has an empty grid")
-    return report
 
 
 def _det_from_terms(seq: MomentSequence, n: int, k: int):

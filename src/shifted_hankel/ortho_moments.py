@@ -25,7 +25,7 @@ from .exact_core import (
     series_mul,
     series_reciprocal,
 )
-from .report import VerificationReport
+from .report import VerificationReport, _nonempty
 
 __all__ = [
     "JacobiSpec",
@@ -521,4 +521,4 @@ def verify_basis_expansion(kind: str, n_max: int) -> VerificationReport:
             lhs=acc.render(),
             rhs=expected.render(),
         )
-    return report
+    return _nonempty(report)

@@ -61,3 +61,10 @@ class VerificationReport:
         npass = sum(1 for c in self.cells if c.status == PASS)
         nfail = sum(1 for c in self.cells if c.status == FAIL)
         return npass, nfail
+
+
+def _nonempty(report: VerificationReport) -> VerificationReport:
+    # a grid with no cells checks nothing, and an empty report reads as PASS
+    if not report.cells:
+        raise ValueError(f"suite {report.suite} has an empty grid")
+    return report

@@ -11,11 +11,10 @@ via the transfer-matrix determinant and by brute-force enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, prod
 from typing import Iterator
 
-from .exact_core import det_exact
+from .exact_core import _check_index, det_exact
 from .hankel_identities import hankel_det, product_poly_H
 from .ortho_moments import MomentSequence
 from .report import VerificationReport
@@ -227,58 +226,82 @@ def path_from_text(text: str, model: str) -> LatticePath:
     return LatticePath(start, tuple(word), model)
 
 
-def enumerate_pp(n: int, k: int) -> Iterator[PlanePartition]:
-    """Stream all partitions in lexicographic order of row-major entries."""
+def _check_shape(n: int, k: int) -> None:
     if type(n) is not int or type(k) is not int:
         raise TypeError(f"n and k must be ints, got {n!r} and {k!r}")
     if n < 1:
         raise ValueError("order n must be at least 1")
     if k < 0:
         raise ValueError("bound k must be nonnegative")
+
+
+def _rows_under(lists: dict, cap: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # The weakly decreasing rows lying entrywise under cap, in lexicographic
+    # order, listed once per cap in the caller's dict.
+    rows = lists.get(cap)
+    if rows is None:
+        rows = [(v,) for v in range(cap[0] + 1)]
+        for c in cap[1:]:
+            rows = [r + (v,) for r in rows for v in range(min(c, r[-1]) + 1)]
+        lists[cap] = rows
+    return rows
+
+
+def _trusted(n: int, k: int, rows: tuple) -> PlanePartition:
+    # A partition the walk built valid, made without PlanePartition's check.
+    p = object.__new__(PlanePartition)
+    object.__setattr__(p, "__dict__", {"n": n, "k": k, "rows": rows})
+    return p
+
+
+def enumerate_pp(n: int, k: int) -> Iterator[PlanePartition]:
+    """Stream all partitions in lexicographic order of row-major entries."""
+    _check_shape(n, k)
     return _walk(n, k)
 
 
 def _walk(n: int, k: int) -> Iterator[PlanePartition]:
     # Row i is any weakly decreasing tuple lying entrywise under the first
-    # n-1-i entries of row i-1 (row 0 under (k, ..., k)).  The admissible
-    # rows under each cap are listed once, in lexicographic order, in a
-    # dict that lives as long as this generator.
+    # n-1-i entries of row i-1 (row 0 under (k, ..., k)), so every item is
+    # valid by construction.
     if n == 1:
-        yield PlanePartition(1, k, ())
+        yield _trusted(1, k, ())
         return
-    lists: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def rows_under(cap: tuple[int, ...]) -> list[tuple[int, ...]]:
-        rows = lists.get(cap)
-        if rows is None:
-            rows = [(v,) for v in range(cap[0] + 1)]
-            for c in cap[1:]:
-                rows = [
-                    r + (v,) for r in rows for v in range(min(c, r[-1]) + 1)
-                ]
-            lists[cap] = rows
-        return rows
-
+    lists: dict = {}
     last = n - 2
 
     def fill(i: int, prefix: tuple, cap: tuple) -> Iterator[PlanePartition]:
         if i == last:
-            for row in rows_under(cap):
-                yield PlanePartition(n, k, prefix + (row,))
+            for row in _rows_under(lists, cap):
+                yield _trusted(n, k, prefix + (row,))
             return
-        for row in rows_under(cap):
+        for row in _rows_under(lists, cap):
             yield from fill(i + 1, prefix + (row,), row[:-1])
 
     yield from fill(0, (), (k,) * (n - 1))
 
 
 def count_pp(n: int, k: int) -> int:
-    return sum(1 for _ in enumerate_pp(n, k))
+    """Count the partitions row by row, without listing them: the rows
+    below a row r are counted once per distinct cap r[:-1]."""
+    _check_shape(n, k)
+    lists: dict = {}
+    counts = {(): 1}
+
+    def below(cap: tuple) -> int:
+        total = counts.get(cap)
+        if total is None:
+            total = counts[cap] = sum(
+                below(row[:-1]) for row in _rows_under(lists, cap)
+            )
+        return total
+
+    return below((k,) * (n - 1))
 
 
 def count_pp_vs_formulas(n: int, k: int) -> VerificationReport:
     """Compare the enumerated count against three closed-form routes."""
-    enum_count = count_pp(n, k)
+    enum_count = sum(1 for _ in enumerate_pp(n, k))
     poly_value = product_poly_H(n).subs(x=k)
     binom_det = det_exact(
         [[comb(k + i + j, 2 * j) for j in range(n)] for i in range(n)]
@@ -302,6 +325,8 @@ def count_pp_vs_formulas(n: int, k: int) -> VerificationReport:
 
 def dyck_endpoints(n: int, k: int) -> tuple[list[Point], list[Point]]:
     """Start and end points of the k level-curve paths, innermost first."""
+    _check_index("n", n)
+    _check_index("k", k)
     starts = [(-2 * t, 0) for t in range(k)]
     ends = [(2 * n + 2 * t, 0) for t in range(k)]
     return starts, ends
@@ -309,6 +334,8 @@ def dyck_endpoints(n: int, k: int) -> tuple[list[Point], list[Point]]:
 
 def hv_endpoints(n: int, k: int) -> tuple[list[Point], list[Point]]:
     """Start and end points of the n row paths, shortest first."""
+    _check_index("n", n)
+    _check_index("k", k)
     starts = [(-1, k + i - 1) for i in range(n)]
     ends = [(2 * i - 1, i - 1) for i in range(n)]
     return starts, ends
@@ -323,20 +350,30 @@ def pp_to_dyck(p: PlanePartition) -> PathFamily:
     word is padded with 2t+1 leading U and trailing D so consecutive
     curves cannot touch.  Path t runs from (-2t, 0) to (2n+2t, 0).
     """
-    paths = []
+    return PathFamily(
+        tuple(
+            LatticePath((-2 * t, 0), word, "dyck")
+            for t, word in enumerate(_dyck_words(p))
+        )
+    )
+
+
+def _dyck_words(p: PlanePartition) -> tuple[tuple[str, ...], ...]:
+    words = []
     for t in range(p.k):
-        threshold = t + 1
-        lam = [sum(1 for e in row if e >= threshold) for row in p.rows]
-        word = ["U"] * (2 * t + 1)
+        pad = 2 * t + 1
+        parts = ["U" * pad]
         prev = p.n - 1
-        for part in lam:
-            word.extend("U" * (prev - part))
-            word.append("D")
+        for row in p.rows:
+            # the row decreases, so its entries above t form a prefix
+            part = len(row)
+            while part and row[part - 1] <= t:
+                part -= 1
+            parts.append("U" * (prev - part) + "D")
             prev = part
-        word.extend("U" * prev)
-        word.extend("D" * (2 * t + 1))
-        paths.append(LatticePath((-2 * t, 0), tuple(word), "dyck"))
-    return PathFamily(tuple(paths))
+        parts.append("U" * prev + "D" * pad)
+        words.append(tuple("".join(parts)))
+    return tuple(words)
 
 
 def dyck_to_pp(f: PathFamily) -> PlanePartition:
@@ -378,12 +415,11 @@ def dyck_to_pp(f: PathFamily) -> PlanePartition:
             for i in range(n - 1)
         )
         result = PlanePartition(n, k, rows)
+        # the starts are checked above, so equal words mean an equal family
+        if _dyck_words(result) != tuple(q.steps for q in f.paths):
+            raise ValueError("re-encoding does not reproduce it")
     except ValueError as exc:
         raise ValueError(f"not a valid level-curve family: {exc}") from None
-    if pp_to_dyck(result) != f:
-        raise ValueError(
-            "not a valid level-curve family: re-encoding does not reproduce it"
-        )
     return result
 
 
@@ -394,21 +430,28 @@ def pp_to_hv(p: PlanePartition) -> PathFamily:
     (2i-1, i-1) with 2i horizontal steps whose heights are i forced
     copies of k+i-1 followed by the row entries shifted up by i-1.
     """
-    paths = []
-    for i in range(p.n):
-        top = p.k + i - 1
-        heights = [top] * i
-        if i >= 1:
-            heights.extend(e + i - 1 for e in p.rows[p.n - i - 1])
-        word = []
-        y = top
-        for h in heights:
-            word.extend("V" * (y - h))
-            word.append("H")
-            y = h
-        word.extend("V" * (y - (i - 1)))
-        paths.append(LatticePath((-1, top), tuple(word), "hv"))
-    return PathFamily(tuple(paths))
+    return PathFamily(
+        tuple(
+            LatticePath((-1, p.k + i - 1), word, "hv")
+            for i, word in enumerate(_hv_words(p))
+        )
+    )
+
+
+def _hv_words(p: PlanePartition) -> tuple[tuple[str, ...], ...]:
+    # every height of path i is shifted by the same i-1, so after its i
+    # forced horizontal steps each V run is the drop from the previous entry
+    # of its row (k before the first) to the next
+    words = [("V",) * p.k]
+    for i, row in enumerate(reversed(p.rows), 1):
+        parts = ["H" * i]
+        prev = p.k
+        for e in row:
+            parts.append("V" * (prev - e) + "H")
+            prev = e
+        parts.append("V" * prev)
+        words.append(tuple("".join(parts)))
+    return tuple(words)
 
 
 def hv_to_pp(f: PathFamily) -> PlanePartition:
@@ -440,36 +483,25 @@ def hv_to_pp(f: PathFamily) -> PlanePartition:
             if i >= 1:
                 rows[n - i - 1] = tuple(h - (i - 1) for h in heights[i:])
         result = PlanePartition(n, k, tuple(rows))
+        # the starts are checked above, so equal words mean an equal family
+        if _hv_words(result) != tuple(q.steps for q in f.paths):
+            raise ValueError("re-encoding does not reproduce it")
     except ValueError as exc:
         raise ValueError(f"not a valid row-height family: {exc}") from None
-    if pp_to_hv(result) != f:
-        raise ValueError(
-            "not a valid row-height family: re-encoding does not reproduce it"
-        )
     return result
 
 
-@lru_cache(maxsize=None)
-def _dyck_count(length: int, y0: int, y1: int) -> int:
-    # Number of U/D words of the given length from height y0 to y1 that
-    # keep the height nonnegative throughout.
-    if y0 < 0 or y1 < 0:
-        return 0
-    if length == 0:
-        return 1 if y0 == y1 else 0
-    total = _dyck_count(length - 1, y0 + 1, y1)
-    if y0 > 0:
-        total += _dyck_count(length - 1, y0 - 1, y1)
-    return total
-
-
 def _single_count(model: str, a: Point, e: Point) -> int:
-    if model == "dyck":
-        dx = e[0] - a[0]
-        if dx < 0 or a[1] < 0 or e[1] < 0:
-            return 0
-        return _dyck_count(dx, a[1], e[1])
     dx = e[0] - a[0]
+    if model == "dyck":
+        # U/D words of length dx from height y0 to y1 that stay nonnegative:
+        # by the reflection principle, all such words minus those from the
+        # start reflected in y = -1.
+        y0, y1 = a[1], e[1]
+        if y0 < 0 or y1 < 0 or (dx + y1 - y0) % 2 or abs(y1 - y0) > dx:
+            return 0
+        up = (dx + y1 - y0) // 2
+        return comb(dx, up) - comb(dx, up + y0 + 1)
     dy = a[1] - e[1]
     if dx < 0 or dy < 0:
         return 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shifted_hankel.exact_core import (
     B,
     X,
+    IndexTypeError,
     Poly,
     PowerSeries,
     binom_poly,
@@ -290,6 +291,15 @@ class TestBinomPoly:
 
     def test_integer_argument(self):
         assert binom_poly(5, 2) == Poly.const(10)
+
+    @pytest.mark.parametrize("r", [True, False, 2.0])
+    def test_inexact_r_raises_type_error(self, r):
+        with pytest.raises(IndexTypeError):
+            binom_poly(X, r)
+
+    def test_negative_r_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            binom_poly(X, -1)
 
     @given(
         st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=8)

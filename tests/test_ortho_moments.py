@@ -287,6 +287,11 @@ class TestBasisExpansion:
         with pytest.raises(ValueError):
             verify_basis_expansion("hermite", 4)
 
+    @pytest.mark.parametrize("kind", ["fibonacci", "lucas"])
+    def test_zero_cells_raise(self, kind):
+        with pytest.raises(ValueError, match="empty grid"):
+            verify_basis_expansion(kind, -1)
+
 
 class TestJacobiSpec:
     def test_specialize(self):

@@ -2,6 +2,7 @@
 determinant versus brute-force counting."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +215,30 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             list(enumerate_pp(2, -1))
 
+    def test_transfer_count_equals_enumeration(self):
+        for n in range(1, 7):
+            for k in range(5):
+                assert count_pp(n, k) == sum(1 for _ in enumerate_pp(n, k))
+
+    def test_transfer_count_beyond_enumeration(self):
+        for n, k in ((7, 5), (7, 7)):
+            assert count_pp(n, k) == product_poly_H(n).subs(x=k)
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (2, -1), (3, 1.5), (True, 1)])
+    def test_count_checks_arguments_as_enumeration_does(self, n, k):
+        with pytest.raises((TypeError, ValueError)) as counted:
+            count_pp(n, k)
+        with pytest.raises((TypeError, ValueError)) as listed:
+            enumerate_pp(n, k)
+        assert counted.type is listed.type
+        assert str(counted.value) == str(listed.value)
+
+    def test_walked_items_pass_the_partition_check(self):
+        # enumerate_pp builds its items without PlanePartition's check
+        for n in range(1, 6):
+            for k in range(4):
+                assert all(p._fits() for p in enumerate_pp(n, k))
+
 
 class TestCountVsFormulas:
     def test_known_cell(self):
@@ -300,6 +325,26 @@ class TestDyckEncoding:
         with pytest.raises(ValueError, match="empty"):
             dyck_to_pp(PathFamily(()))
 
+    def test_accepts_exactly_the_image_of_altered_families(self):
+        # A Dyck path with one step replaced no longer ends on the axis, so
+        # the alterations move one step (two adjacent steps swapped) or move
+        # a whole path two units along the axis; only a lone path can move
+        # without meeting another.
+        outcomes = Counter()
+        for n, k in ((4, 1), (3, 2), (4, 2), (3, 3)):
+            images = {pp_to_dyck(p) for p in enumerate_pp(n, k)}
+            for alter in (_swap_adjacent, _shift_start):
+                altered = _altered_families(images, alter)
+                outcomes += _decode_exactly_the_image(
+                    dyck_to_pp, images, altered
+                )
+        assert outcomes["accepted"] and outcomes["rejected"]
+
+    def test_hv_family_rejected(self):
+        for p in enumerate_pp(3, 2):
+            with pytest.raises(ValueError, match="level-curve"):
+                dyck_to_pp(pp_to_hv(p))
+
 
 class TestHvEncoding:
     def test_step_counts_match_endpoints(self):
@@ -337,6 +382,77 @@ class TestHvEncoding:
         fam = PathFamily((LatticePath((-1, 1), ("H", "V", "V"), "hv"),))
         with pytest.raises(ValueError, match="row-height"):
             hv_to_pp(fam)
+
+    def test_accepts_exactly_the_image_of_altered_families(self):
+        outcomes = Counter()
+        for n, k in ((3, 2), (4, 2), (3, 3)):
+            images = {pp_to_hv(p) for p in enumerate_pp(n, k)}
+            for alter in (_flip_one, _swap_adjacent, _shift_start):
+                altered = _altered_families(images, alter)
+                outcomes += _decode_exactly_the_image(
+                    hv_to_pp, images, altered
+                )
+        assert outcomes["accepted"] and outcomes["rejected"]
+
+    def test_dyck_family_rejected(self):
+        for p in enumerate_pp(3, 2):
+            with pytest.raises(ValueError, match="row-height"):
+                hv_to_pp(pp_to_dyck(p))
+
+
+# Alterations of one path, each given as (start, steps) pairs.
+def _flip_one(path):
+    # one step replaced by the other letter of its model
+    swap = {"U": "D", "D": "U", "H": "V", "V": "H"}
+    steps = path.steps
+    for j, s in enumerate(steps):
+        yield path.start, steps[:j] + (swap[s],) + steps[j + 1 :]
+
+
+def _swap_adjacent(path):
+    steps = path.steps
+    for j in range(len(steps) - 1):
+        if steps[j] != steps[j + 1]:
+            swapped = (steps[j + 1], steps[j])
+            yield path.start, steps[:j] + swapped + steps[j + 2 :]
+
+
+def _shift_start(path):
+    x, y = path.start
+    for dx in (-2, 2):
+        yield (x + dx, y), path.steps
+
+
+def _altered_families(images, alter):
+    """Every family obtained from one image by altering one of its paths,
+    skipping paths and families that are not valid as such."""
+    out = set()
+    for family in images:
+        for t, path in enumerate(family.paths):
+            for start, steps in alter(path):
+                try:
+                    moved = LatticePath(start, steps, path.model)
+                    paths = family.paths[:t] + (moved,) + family.paths[t + 1 :]
+                    out.add(PathFamily(paths))
+                except ValueError:
+                    pass
+    return out
+
+
+def _decode_exactly_the_image(decode, images, families):
+    """Check that decode inverts every family in the image and rejects every
+    other one; count the two outcomes."""
+    encode = pp_to_dyck if decode is dyck_to_pp else pp_to_hv
+    outcomes = Counter()
+    for family in families:
+        if family in images:
+            assert encode(decode(family)) == family
+            outcomes["accepted"] += 1
+        else:
+            with pytest.raises(ValueError, match="not a valid"):
+                decode(family)
+            outcomes["rejected"] += 1
+    return outcomes
 
 
 class TestRoundTripProperties:
@@ -383,6 +499,25 @@ class TestLgvCount:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
             lgv_count([(0, 0)], [(2, 0)], "diagonal")
+
+    def test_long_single_dyck_path(self):
+        # 600 steps, more than a recursion of one frame per step can take
+        starts, ends = dyck_endpoints(300, 1)
+        assert lgv_count(starts, ends, "dyck") == sequence_term("catalan", 300)
+
+    @pytest.mark.parametrize(
+        "endpoints, n, k",
+        [
+            (dyck_endpoints, 2.0, 1),
+            (dyck_endpoints, -2, 1),
+            (dyck_endpoints, 2, True),
+            (hv_endpoints, -1, -1),
+            (hv_endpoints, 2, 1.0),
+        ],
+    )
+    def test_endpoints_need_indices(self, endpoints, n, k):
+        with pytest.raises(ValueError):
+            endpoints(n, k)
 
 
 class TestBruteForce:
